@@ -1,13 +1,13 @@
-"""Perf-regression harness: serial vs. batched vs. process-parallel trials.
+"""Perf-regression harness: serial vs. batched BFCE trials.
 
 Unlike the figure benches (which regenerate paper results), this harness
-tracks the *simulator's own* throughput trajectory.  It times the three
+tracks the *simulator's own* throughput trajectory.  It times the
 trial engines on an identical workload — by default n = 10⁵ tags,
 T = 50 Monte-Carlo trials, perfect channel — and writes ``BENCH_engine.json``
 at the repo root with trials/sec per engine, the speedup over serial, and
 the maximum |Δn̂| of each engine versus the serial reference (which must be
-exactly 0.0: batching and parallelism claim bit-equivalence, not
-statistical agreement).
+exactly 0.0: batching claims bit-equivalence, not statistical
+agreement).
 
 Run as a script or module::
 
@@ -15,7 +15,7 @@ Run as a script or module::
     PYTHONPATH=src python benchmarks/bench_perf_engine.py --smoke
     PYTHONPATH=src python -m bench_perf_engine          # from benchmarks/
 
-``--smoke`` shrinks the workload (n = 5000, T = 6, best-of-1, 2 workers) so
+``--smoke`` shrinks the workload (n = 5000, T = 6, best-of-1) so
 CI can exercise the full harness — including the drift gate — in seconds.
 
 Knobs (environment variables, overridden by ``--smoke``):
@@ -23,7 +23,6 @@ Knobs (environment variables, overridden by ``--smoke``):
 * ``REPRO_BENCH_N``        population size          (default 100000)
 * ``REPRO_BENCH_TRIALS``   Monte-Carlo trials       (default 50)
 * ``REPRO_BENCH_REPEATS``  timing repetitions, best-of (default 3)
-* ``REPRO_BENCH_WORKERS``  process-parallel workers (default min(4, cpus))
 * ``REPRO_BENCH_OUT``      output path              (default <repo>/BENCH_engine.json)
 
 The harness is also importable: ``run_engine_bench()`` returns the result
@@ -44,7 +43,6 @@ _SRC = _REPO_ROOT / "src"
 if str(_SRC) not in sys.path:  # script-mode convenience; no-op under PYTHONPATH=src
     sys.path.insert(0, str(_SRC))
 
-from repro.experiments.parallel import run_bfce_trials_parallel  # noqa: E402
 from repro.experiments.runner import run_bfce_trials  # noqa: E402
 from repro.obs.host import host_block  # noqa: E402
 from repro.rfid.ids import uniform_ids  # noqa: E402
@@ -90,11 +88,8 @@ def run_engine_bench(
     n: int = 100_000,
     trials: int = 50,
     repeats: int = 3,
-    workers: int | None = None,
 ) -> dict:
-    """Time all three engines on one workload and return the report dict."""
-    if workers is None:
-        workers = min(4, os.cpu_count() or 1)
+    """Time every engine on one workload and return the report dict."""
     population = TagPopulation(uniform_ids(n, seed=1))
 
     batched = lambda: run_bfce_trials(  # noqa: E731
@@ -108,15 +103,12 @@ def run_engine_bench(
         # multicore gate measures the threaded run against.
         "batched_1t": _pinned_threads("1", batched),
         "batched": batched,
-        "parallel": lambda: run_bfce_trials_parallel(
-            population, trials=trials, base_seed=BASE_SEED, max_workers=workers
-        ),
     }
 
     results = {}
     reference = None
     for name, fn in engines.items():
-        fn()  # warm-up: page in buffers / fork worker pool outside the clock
+        fn()  # warm-up: page in buffers outside the clock
         seconds, records = _time_best_of(fn, repeats)
         n_hats = [r.n_hat for r in records]
         if reference is None:
@@ -144,7 +136,6 @@ def run_engine_bench(
             "base_seed": BASE_SEED,
             "channel": "perfect",
             "repeats_best_of": repeats,
-            "parallel_workers": workers,
         },
         "host": host,
         "multicore": {
@@ -212,10 +203,9 @@ def main(argv: list[str] | None = None) -> int:
     n = 5_000 if smoke else int(os.environ.get("REPRO_BENCH_N", 100_000))
     trials = 6 if smoke else int(os.environ.get("REPRO_BENCH_TRIALS", 50))
     repeats = 1 if smoke else int(os.environ.get("REPRO_BENCH_REPEATS", 3))
-    workers = 2 if smoke else int(os.environ.get("REPRO_BENCH_WORKERS", 0)) or None
     out = Path(os.environ.get("REPRO_BENCH_OUT", _REPO_ROOT / "BENCH_engine.json"))
 
-    report = run_engine_bench(n=n, trials=trials, repeats=repeats, workers=workers)
+    report = run_engine_bench(n=n, trials=trials, repeats=repeats)
     out.write_text(json.dumps(report, indent=2) + "\n")
 
     for name, stats in report["engines"].items():

@@ -15,15 +15,16 @@ probe accepts the boundary value after the step can no longer move (a
 population so large that even ``p = 1/1024`` saturates 32 slots is beyond
 the configured ``w`` anyway, and the rough phase's own retry logic handles
 it).  Each round costs one parameter broadcast plus 32 bit-slots.
+
+The rule is implemented once, by :func:`repro.core.bfce.probe_phase`, which
+walks many trials in lockstep; :func:`probe_persistence` runs it for a
+single reader.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..obs import metrics as _metrics
-from ..obs.trace import span as _span
-from ..rfid.protocol import bfce_phase_message
 from ..rfid.reader import Reader
 from .config import BFCEConfig, DEFAULT_CONFIG
 
@@ -62,51 +63,8 @@ def probe_persistence(
     phase: str = PHASE,
 ) -> ProbeResult:
     """Run the adaptive probe and return a usable persistence numerator."""
-    with _span(PHASE, pn_start=config.probe_start_pn) as sp:
-        result = _probe_loop(reader, config, phase)
-        _metrics.inc("probe.rounds", result.rounds)
-        if sp:
-            sp.set(pn=result.pn, rounds=result.rounds, mixed=result.mixed)
-        return result
+    # Deferred: repro.core.bfce imports ProbeResult from this module.
+    from .bfce import per_reader_sense, probe_phase
 
-
-def _probe_loop(reader: Reader, config: BFCEConfig, phase: str) -> ProbeResult:
-    pn = config.probe_start_pn
-    history: list[int] = []
-    message = bfce_phase_message(
-        config.k,
-        preloaded_constants=config.preloaded_constants,
-        seed_bits=config.seed_bits,
-        p_bits=config.p_bits,
-    )
-    for round_idx in range(config.max_probe_rounds):
-        history.append(pn)
-        with _span("frame", pn=pn, slots=config.probe_slots) as fr:
-            reader.broadcast(message, phase=phase)
-            seeds = reader.fresh_seeds(config.k)
-            frame = reader.sense_frame(
-                w=config.w,
-                seeds=seeds,
-                p_n=pn,
-                observe_slots=config.probe_slots,
-                phase=phase,
-            )
-            if fr:
-                fr.set(idle_slots=frame.ones)
-        ones = frame.ones
-        if 0 < ones < config.probe_slots:
-            return ProbeResult(pn=pn, rounds=round_idx + 1, mixed=True, history=tuple(history))
-        if ones == config.probe_slots:
-            # All idle: too few responses — raise p.
-            new_pn = min(pn + config.probe_step_up, config.pn_max)
-        else:
-            # All busy: too many responses — lower p.
-            new_pn = max(pn - config.probe_step_down, config.pn_min)
-        if new_pn == pn:
-            # Stuck at a grid boundary; accept it.
-            return ProbeResult(pn=pn, rounds=round_idx + 1, mixed=False, history=tuple(history))
-        pn = new_pn
-    # Round cap hit: fall back to the last numerator actually probed.
-    return ProbeResult(
-        pn=history[-1], rounds=config.max_probe_rounds, mixed=False, history=tuple(history)
-    )
+    [result] = probe_phase([reader], per_reader_sense(config), config, phase=phase)
+    return result

@@ -15,26 +15,22 @@ If the observed prefix happens to be all-idle or all-busy (ρ̄ ∈ {0, 1}, the
 two exceptions of Sec. IV-B — possible since the probe looked at only 32
 slots), the phase retries with the numerator doubled / halved.  Each retry
 costs another broadcast and 1024 slots and is recorded in the result.
+
+The rule is implemented once, by :func:`repro.core.bfce.rough_phase`, which
+advances many trials in lockstep; :func:`rough_estimate` runs it for a
+single reader.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..obs import metrics as _metrics
-from ..obs.trace import span as _span
-from ..rfid.protocol import bfce_phase_message
 from ..rfid.reader import Reader
 from .config import BFCEConfig, DEFAULT_CONFIG
-from .estmath import estimate_cardinality, rho_is_valid
 
 __all__ = ["RoughResult", "rough_estimate"]
 
 PHASE = "rough"
-
-#: Cap on all-idle/all-busy retries; 2·log2(1024) steps suffice to traverse
-#: the whole numerator grid by doubling/halving.
-_MAX_RETRIES = 20
 
 
 @dataclass(frozen=True)
@@ -72,66 +68,8 @@ def rough_estimate(
     """Run the rough phase with probed numerator ``pn`` and return n̂_low."""
     if not config.pn_min <= pn <= config.pn_max:
         raise ValueError(f"pn must be in [{config.pn_min}, {config.pn_max}], got {pn}")
-    with _span(PHASE, pn_start=pn) as sp:
-        result = _rough_loop(reader, pn, config, phase)
-        _metrics.inc("rough.retries", result.retries)
-        if sp:
-            sp.set(
-                n_rough=result.n_rough,
-                n_low=result.n_low,
-                pn=result.pn,
-                rho=result.rho,
-                retries=result.retries,
-            )
-        return result
+    # Deferred: repro.core.bfce imports RoughResult from this module.
+    from .bfce import per_reader_sense, rough_phase
 
-
-def _rough_loop(reader: Reader, pn: int, config: BFCEConfig, phase: str) -> RoughResult:
-    message = bfce_phase_message(
-        config.k,
-        preloaded_constants=config.preloaded_constants,
-        seed_bits=config.seed_bits,
-        p_bits=config.p_bits,
-    )
-    retries = 0
-    while True:
-        with _span("frame", pn=pn, slots=config.rough_slots) as fr:
-            reader.broadcast(message, phase=phase)
-            seeds = reader.fresh_seeds(config.k)
-            frame = reader.sense_frame(
-                w=config.w,
-                seeds=seeds,
-                p_n=pn,
-                observe_slots=config.rough_slots,
-                phase=phase,
-            )
-            if fr:
-                fr.set(rho=frame.rho)
-        if rho_is_valid(frame.rho):
-            break
-        if frame.rho == 1.0 and pn == config.pn_max:
-            # All idle even at the grid's maximum persistence: the range is
-            # effectively empty (n far below the protocol's design floor of
-            # ~1000 tags).  Report a zero rough estimate instead of failing.
-            return RoughResult(n_rough=0.0, n_low=0.0, pn=pn, rho=1.0, retries=retries)
-        if retries >= _MAX_RETRIES:
-            raise RuntimeError(
-                "rough phase could not obtain a mixed frame: population is "
-                f"outside the estimable range for w={config.w} "
-                f"(last rho={frame.rho}, pn={pn})"
-            )
-        retries += 1
-        if frame.rho == 1.0:
-            # All idle → too few responses → raise p (double, clamp to grid).
-            pn = min(pn * 2, config.pn_max)
-        else:
-            # All busy → too many responses → lower p (halve, clamp to grid).
-            pn = max(pn // 2, config.pn_min)
-    n_rough = estimate_cardinality(frame.rho, config.w, config.k, config.p_of(pn))
-    return RoughResult(
-        n_rough=n_rough,
-        n_low=config.c * n_rough,
-        pn=pn,
-        rho=frame.rho,
-        retries=retries,
-    )
+    [result] = rough_phase([reader], [pn], per_reader_sense(config), config, phase=phase)
+    return result

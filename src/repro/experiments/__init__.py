@@ -29,8 +29,7 @@ from .figures import (
     fig_dynamics,
     lower_bound_validity,
 )
-from .batch import BatchBFCE, batching_is_sound, run_bfce_trials_batched
-from .parallel import run_bfce_trials_parallel
+from .batch import batching_is_sound, run_bfce_trials_batched
 from .persistence import (
     load_figure_json,
     load_records_csv,
@@ -75,8 +74,6 @@ from .workloads import (
 # import SweepPoint` or via `repro.experiments.sweep`.
 
 __all__ = [
-    "run_bfce_trials_parallel",
-    "BatchBFCE",
     "batching_is_sound",
     "run_bfce_trials_batched",
     "AblationPoint",

@@ -28,6 +28,7 @@ from .stats import ErrorSummary
 __all__ = [
     "TrialRecord",
     "run_trials",
+    "bfce_trial_records",
     "run_bfce_trials",
     "run_bfce_trials_analytic",
     "SweepPoint",
@@ -56,6 +57,39 @@ class TrialRecord:
         return self.error <= self.eps
 
 
+def bfce_trial_records(
+    results,
+    *,
+    n_true: int,
+    base_seed: int,
+    eps: float,
+    delta: float,
+    distribution: str,
+    engine: str,
+) -> list[TrialRecord]:
+    """One :class:`TrialRecord` per BFCE result of seeds ``base_seed + t``."""
+    return [
+        TrialRecord(
+            estimator="BFCE",
+            n_true=n_true,
+            n_hat=result.n_hat,
+            error=result.relative_error(n_true),
+            seconds=result.elapsed_seconds,
+            seed=base_seed + t,
+            eps=eps,
+            delta=delta,
+            distribution=distribution,
+            extra={
+                "n_low": result.n_low,
+                "pn_optimal": result.pn_optimal,
+                "guarantee_met": result.guarantee_met,
+                "engine": engine,
+            },
+        )
+        for t, result in enumerate(results)
+    ]
+
+
 def run_bfce_trials(
     population: TagPopulation | int,
     *,
@@ -64,7 +98,6 @@ def run_bfce_trials(
     delta: float = 0.05,
     base_seed: int = 0,
     distribution: str = "",
-    estimator_factory: Callable[[AccuracyRequirement], BFCE] | None = None,
     engine: str = "auto",
     config: BFCEConfig = DEFAULT_CONFIG,
     channel: Channel | None = None,
@@ -78,19 +111,17 @@ def run_bfce_trials(
         cardinality ``n`` (the analytic engine never builds an ID array).
     engine:
         The engine tier: ``"serial"`` runs one full protocol per trial,
-        ``"batched"`` executes all trials through the lockstep batch engine
-        (:mod:`repro.experiments.batch`), and ``"analytic"`` samples frame
-        occupancies from their exact distribution in O(w) per frame
+        ``"batched"`` advances all trials in lockstep through batched frame
+        kernels (:mod:`repro.experiments.batch`), and ``"analytic"`` samples
+        frame occupancies from their exact distribution in O(w) per frame
         (:mod:`repro.rfid.occupancy`), independent of n.  ``"auto"``
-        (default) picks the batched engine whenever no custom
-        ``estimator_factory`` is in play.  Serial and batched are
+        (default) picks the batched engine.  Serial and batched are
         bit-identical; analytic is exact-in-distribution only (DESIGN.md §6)
         and is therefore never auto-selected.  ``extra["engine"]`` on each
         record names the engine that actually ran (a noisy channel makes the
         batched engine fall back to serial).
     config:
-        Protocol constants; ignored when ``estimator_factory`` is given
-        (the factory owns configuration).
+        Protocol constants.
     channel:
         Channel model threaded into every trial (default: perfect channel).
     """
@@ -98,75 +129,43 @@ def run_bfce_trials(
         raise ValueError(
             f"engine must be 'auto', 'batched', 'serial' or 'analytic', got {engine!r}"
         )
-    if engine in ("batched", "analytic") and estimator_factory is not None:
-        raise ValueError("estimator_factory requires the serial engine")
+    common = dict(
+        trials=trials,
+        eps=eps,
+        delta=delta,
+        base_seed=base_seed,
+        distribution=distribution,
+        config=config,
+        channel=channel,
+    )
     if engine == "analytic":
         _metrics.inc("engine.select.analytic")
-        return run_bfce_trials_analytic(
-            population,
-            trials=trials,
-            eps=eps,
-            delta=delta,
-            base_seed=base_seed,
-            distribution=distribution,
-            config=config,
-            channel=channel,
-        )
+        return run_bfce_trials_analytic(population, **common)
     if not isinstance(population, TagPopulation):
         raise TypeError(
             "a plain cardinality requires engine='analytic'; event engines "
             "need a TagPopulation"
         )
-    if engine != "serial" and estimator_factory is None:
+    if engine != "serial":
         from .batch import run_bfce_trials_batched  # deferred: batch imports us
 
         _metrics.inc("engine.select.batched")
-        return run_bfce_trials_batched(
-            population,
-            trials=trials,
-            eps=eps,
-            delta=delta,
-            base_seed=base_seed,
-            distribution=distribution,
-            config=config,
-            channel=channel,
-        )
-    if engine == "auto":
-        engine_fallback(
-            "run_bfce_trials",
-            requested="auto",
-            actual="serial",
-            reason="estimator_factory requires the serial engine",
-        )
+        return run_bfce_trials_batched(population, **common)
     _metrics.inc("engine.select.serial")
-    req = AccuracyRequirement(eps, delta)
-    bfce = estimator_factory(req) if estimator_factory else BFCE(
-        config=config, requirement=req
+    bfce = BFCE(config=config, requirement=AccuracyRequirement(eps, delta))
+    results = [
+        bfce.estimate(population, seed=base_seed + t, channel=channel)
+        for t in range(trials)
+    ]
+    return bfce_trial_records(
+        results,
+        n_true=population.size,
+        base_seed=base_seed,
+        eps=eps,
+        delta=delta,
+        distribution=distribution,
+        engine="serial",
     )
-    n_true = population.size
-    records: list[TrialRecord] = []
-    for t in range(trials):
-        result = bfce.estimate(population, seed=base_seed + t, channel=channel)
-        records.append(
-            TrialRecord(
-                estimator="BFCE",
-                n_true=n_true,
-                n_hat=result.n_hat,
-                error=result.relative_error(n_true),
-                seconds=result.elapsed_seconds,
-                seed=base_seed + t,
-                eps=eps,
-                delta=delta,
-                distribution=distribution,
-                extra={
-                    "n_low": result.n_low,
-                    "pn_optimal": result.pn_optimal,
-                    "guarantee_met": result.guarantee_met,
-                    "engine": "serial",
-                },
-            )
-        )
-    return records
 
 
 def run_bfce_trials_analytic(
@@ -197,36 +196,25 @@ def run_bfce_trials_analytic(
         n_true = int(population)
     if persistence_mode is None:
         persistence_mode = "event"
-    req = AccuracyRequirement(eps, delta)
-    bfce = BFCE(config=config, requirement=req)
-    records: list[TrialRecord] = []
-    for t in range(trials):
-        result = bfce.estimate_analytic(
+    bfce = BFCE(config=config, requirement=AccuracyRequirement(eps, delta))
+    results = [
+        bfce.estimate_analytic(
             n_true,
             seed=base_seed + t,
             channel=channel,
             persistence_mode=persistence_mode,
         )
-        records.append(
-            TrialRecord(
-                estimator="BFCE",
-                n_true=n_true,
-                n_hat=result.n_hat,
-                error=result.relative_error(n_true),
-                seconds=result.elapsed_seconds,
-                seed=base_seed + t,
-                eps=eps,
-                delta=delta,
-                distribution=distribution,
-                extra={
-                    "n_low": result.n_low,
-                    "pn_optimal": result.pn_optimal,
-                    "guarantee_met": result.guarantee_met,
-                    "engine": "analytic",
-                },
-            )
-        )
-    return records
+        for t in range(trials)
+    ]
+    return bfce_trial_records(
+        results,
+        n_true=n_true,
+        base_seed=base_seed,
+        eps=eps,
+        delta=delta,
+        distribution=distribution,
+        engine="analytic",
+    )
 
 
 def run_trials(

@@ -77,7 +77,6 @@ _TOKEN_PACKAGES = ("core", "rfid", "baselines", "timing", "sketch")
 _TOKEN_FILES = (
     "experiments/batch.py",
     "experiments/runner.py",
-    "experiments/parallel.py",
     "experiments/workloads.py",
     "experiments/dynamics.py",
 )

@@ -26,6 +26,7 @@ reader's time, not the sum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -41,6 +42,9 @@ from ..rfid.reader import Reader
 from ..timing.accounting import TimeLedger
 from .frames import slot_response_counts
 from .tags import TagPopulation
+
+if TYPE_CHECKING:
+    from ..core.bfce import Sense
 
 __all__ = [
     "CoverageMap",
@@ -167,33 +171,39 @@ class MultiReaderSystem:
     config: BFCEConfig = field(default_factory=lambda: DEFAULT_CONFIG)
     requirement: AccuracyRequirement = field(default_factory=AccuracyRequirement)
 
-    def _merged_frame_rho(
-        self,
-        seeds: np.ndarray,
-        pn: int,
-        observe_slots: int,
-        ledger: TimeLedger,
-        phase: str,
-    ) -> float:
-        """Run one synchronized frame on all readers; return merged ρ̄.
+    def _merged_sense(self) -> Sense:
+        """Sense function of the synchronized readers: OR-merged frames.
 
-        Ledger convention: the broadcast + frame cost is charged once
-        (readers run concurrently); per-reader air adds to ``total_air``
-        through the caller's accounting.
+        Ledger convention: the broadcast + frame cost is charged once on the
+        server reader (readers run concurrently); per-reader air adds to
+        ``total_air`` through the caller's accounting.
         """
         cfg = self.config
         message = bfce_phase_message(cfg.k, preloaded_constants=cfg.preloaded_constants)
-        ledger.record_downlink(message.bits, phase=phase, label="params")
-        busy_union = np.zeros(observe_slots, dtype=bool)
-        for r in range(self.coverage.n_readers):
-            pop = self.coverage.reader_population(r)
-            counts = slot_response_counts(pop, w=cfg.w, seeds=seeds, p_n=pn)
-            busy_union |= counts[:observe_slots] > 0
-        ledger.record_uplink(observe_slots, phase=phase, label="frame")
-        return float((~busy_union).mean())
+        populations = [
+            self.coverage.reader_population(r) for r in range(self.coverage.n_readers)
+        ]
+
+        def sense(servers, pns, observe_slots, phase):
+            rhos = []
+            for server, pn in zip(servers, pns):
+                seeds = server.fresh_seeds(cfg.k)
+                server.ledger.record_downlink(message.bits, phase=phase, label="params")
+                busy_union = np.zeros(observe_slots, dtype=bool)
+                for pop in populations:
+                    counts = slot_response_counts(pop, w=cfg.w, seeds=seeds, p_n=pn)
+                    busy_union |= counts[:observe_slots] > 0
+                server.ledger.record_uplink(observe_slots, phase=phase, label="frame")
+                rhos.append(float((~busy_union).mean()))
+            return rhos
+
+        return sense
 
     def estimate(self, *, seed: int = 0) -> MultiReaderResult:
         """Estimate the union cardinality with synchronized BFCE."""
+        # Local import: repro.core.bfce imports this package back.
+        from ..core.bfce import accurate_phase
+
         cfg = self.config
         union_pop = TagPopulation(self.coverage.tag_ids.copy())
         # Probe and rough phases are identical to single-reader BFCE on the
@@ -212,28 +222,11 @@ class MultiReaderSystem:
             )
         opt = find_optimal_pn(rough.n_low, self.requirement, cfg)
 
-        # Accurate phase: explicitly synchronized across physical readers.
-        seeds = server.fresh_seeds(cfg.k)
-        rho = self._merged_frame_rho(seeds, opt.pn, cfg.w, server.ledger, "accurate")
-        if not rho_is_valid(rho):
-            # Same retry rule as single-reader BFCE.
-            pn = opt.pn
-            for _ in range(8):
-                pn = min(pn * 2, cfg.pn_max) if rho == 1.0 else max(pn // 2, cfg.pn_min)
-                seeds = server.fresh_seeds(cfg.k)
-                rho = self._merged_frame_rho(seeds, pn, cfg.w, server.ledger, "accurate")
-                if rho_is_valid(rho):
-                    break
-            else:
-                raise RuntimeError("multi-reader accurate phase stayed degenerate")
-            n_hat = estimate_cardinality(rho, cfg.w, cfg.k, cfg.p_of(pn))
-            guarantee = False
-            pn_final = pn
-        else:
-            n_hat = estimate_cardinality(rho, cfg.w, cfg.k, cfg.p_of(opt.pn))
-            guarantee = opt.feasible
-            pn_final = opt.pn
-
+        # Accurate phase: explicitly synchronized across physical readers,
+        # under single-reader BFCE's retry and fail-fast rules.
+        [(n_hat, _, pn_final, retries)] = accurate_phase(
+            [server], [opt.pn], self._merged_sense(), cfg
+        )
         wall = server.elapsed_seconds()
         _metrics.inc("multireader.estimates")
         return MultiReaderResult(
@@ -243,7 +236,7 @@ class MultiReaderSystem:
             wallclock_seconds=wall,
             total_air_seconds=wall * self.coverage.n_readers,
             n_readers=self.coverage.n_readers,
-            guarantee_met=guarantee,
+            guarantee_met=opt.feasible and retries == 0,
             ledger=server.ledger,
         )
 

@@ -7,11 +7,17 @@ output, populations near the floor/ceiling).
 
 import pytest
 
-from repro.core.bfce import BFCE
-from repro.core.config import BFCEConfig
+from repro.core.bfce import BFCE, accurate_phase, per_reader_sense
+from repro.core.config import DEFAULT_CONFIG, BFCEConfig
 from repro.rfid.ids import uniform_ids
 from repro.rfid.reader import Reader
 from repro.rfid.tags import TagPopulation
+
+
+def _accurate_frame(reader, pn, config=DEFAULT_CONFIG):
+    """One trial through BFCE's accurate phase: (n_hat, rho, pn, retries)."""
+    [out] = accurate_phase([reader], [pn], per_reader_sense(config), config)
+    return out
 
 
 class TestAccurateFrameRetries:
@@ -21,8 +27,7 @@ class TestAccurateFrameRetries:
         must double pn until the frame mixes and still return an estimate."""
         pop = TagPopulation(uniform_ids(60, seed=1))
         reader = Reader(pop, seed=2)
-        bfce = BFCE()
-        n_hat, rho, pn_final, retries = bfce._accurate_frame(reader, 1)
+        n_hat, rho, pn_final, retries = _accurate_frame(reader, 1)
         assert retries >= 1
         assert pn_final > 1
         assert 0.0 < rho < 1.0
@@ -32,8 +37,7 @@ class TestAccurateFrameRetries:
         """A saturating pn for a huge population must walk down."""
         pop = TagPopulation(uniform_ids(3_000_000, seed=3))
         reader = Reader(pop, seed=4)
-        bfce = BFCE()
-        n_hat, rho, pn_final, retries = bfce._accurate_frame(reader, 1023)
+        n_hat, rho, pn_final, retries = _accurate_frame(reader, 1023)
         assert retries >= 1
         assert pn_final < 1023
         assert n_hat == pytest.approx(3_000_000, rel=0.1)
@@ -43,7 +47,7 @@ class TestAccurateFrameRetries:
 
         pop = TagPopulation(np.array([], dtype=np.uint64))
         reader = Reader(pop, seed=5)
-        n_hat, rho, pn_final, retries = BFCE()._accurate_frame(reader, 1023)
+        n_hat, rho, pn_final, retries = _accurate_frame(reader, 1023)
         assert n_hat == 0.0
         assert rho == 1.0
 
@@ -66,7 +70,7 @@ class TestAccurateFrameRetries:
         pop = TagPopulation(uniform_ids(200_000, seed=10))
         reader = Reader(pop, seed=11)
         with pytest.raises(RuntimeError, match="stuck all-busy at pn_min"):
-            BFCE(config=cfg)._accurate_frame(reader, cfg.pn_min)
+            _accurate_frame(reader, cfg.pn_min, cfg)
         phases = {p.phase: p for p in reader.ledger.phase_breakdown()}
         # Fail-fast contract: exactly one frame was aired, not 1 + 8 retries.
         assert phases["accurate"].uplink_slots == cfg.w
@@ -75,7 +79,7 @@ class TestAccurateFrameRetries:
         """Every retry adds one broadcast + one full frame to the ledger."""
         pop = TagPopulation(uniform_ids(60, seed=8))
         reader = Reader(pop, seed=9)
-        BFCE()._accurate_frame(reader, 1)
+        _accurate_frame(reader, 1)
         phases = {p.phase: p for p in reader.ledger.phase_breakdown()}
         acc = phases["accurate"]
         assert acc.uplink_slots % 8192 == 0

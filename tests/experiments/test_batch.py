@@ -1,7 +1,7 @@
 """Equivalence tests for the lockstep batched Monte-Carlo engine.
 
-``BatchBFCE`` advances every trial's protocol state in lockstep through the
-batched frame kernel; its contract is that each resulting
+``BFCE.estimate_many`` advances every trial's protocol state in lockstep
+through the batched frame kernel; its contract is that each resulting
 :class:`~repro.core.bfce.BFCEResult` is *identical* — estimate, diagnostics
 and metered seconds — to running the serial :class:`~repro.core.bfce.BFCE`
 once per seed.  These tests pin that contract on the paths that differ
@@ -13,11 +13,7 @@ fallback for noisy channels where batching would be unsound.
 import pytest
 
 from repro.core.bfce import BFCE
-from repro.experiments.batch import (
-    BatchBFCE,
-    batching_is_sound,
-    run_bfce_trials_batched,
-)
+from repro.experiments.batch import batching_is_sound, run_bfce_trials_batched
 from repro.experiments.runner import run_bfce_trials
 from repro.rfid.channel import NoisyChannel, PerfectChannel
 from repro.rfid.ids import uniform_ids
@@ -51,8 +47,7 @@ def _sans_engine(records):
 
 
 def _assert_results_identical(population, seeds, *, channel=None):
-    engine = BatchBFCE()
-    batched = engine.estimate_many(population, seeds, channel=channel)
+    batched = BFCE().estimate_many(population, seeds, channel=channel)
     serial = BFCE()
     for seed, got in zip(seeds, batched):
         ref = serial.estimate(population, seed=seed, channel=channel)
@@ -122,16 +117,6 @@ class TestBatchedTrialRunner:
         pop = TagPopulation(uniform_ids(100, seed=8))
         with pytest.raises(ValueError, match="engine"):
             run_bfce_trials(pop, trials=1, engine="warp")
-
-    def test_estimator_factory_requires_serial_engine(self):
-        pop = TagPopulation(uniform_ids(100, seed=9))
-        with pytest.raises(ValueError, match="estimator_factory"):
-            run_bfce_trials(
-                pop,
-                trials=1,
-                engine="batched",
-                estimator_factory=lambda req: BFCE(requirement=req),
-            )
 
     def test_trials_validated(self):
         pop = TagPopulation(uniform_ids(100, seed=10))

@@ -101,6 +101,31 @@ class TestMultiReaderSystem:
         assert not result.guarantee_met
 
 
+    def test_accurate_phase_stuck_at_pn_min_fails_fast(self, monkeypatch):
+        """A union that saturates the accurate frame even at p = pn_min/1024
+        cannot be rescued by halving, so the synchronized accurate phase
+        must raise after one pn_min frame, not re-run it 8 more times."""
+        import repro.rfid.multireader as multireader
+        from repro.core.config import BFCEConfig
+
+        cfg = BFCEConfig(w=32, rough_slots=16, probe_slots=32)
+        cov = CoverageMap.random_overlap(
+            uniform_ids(50_000, seed=12), 3, overlap=0.25, seed=1
+        )
+        merged_calls = []
+        counts = multireader.slot_response_counts
+
+        def counting(pop, *, w, seeds, p_n):
+            merged_calls.append(p_n)
+            return counts(pop, w=w, seeds=seeds, p_n=p_n)
+
+        monkeypatch.setattr(multireader, "slot_response_counts", counting)
+        with pytest.raises(RuntimeError, match="stuck all-busy at pn_min"):
+            MultiReaderSystem(cov, config=cfg).estimate(seed=1)
+        # One synchronized frame = one slot-count pass per physical reader.
+        assert merged_calls == [cfg.pn_min] * cov.n_readers
+
+
 class TestNaiveSum:
     def test_overcounts_by_overlap(self):
         """Summing per-reader estimates over-counts the overlap region —

@@ -211,11 +211,9 @@ class TestScaledConfigAndGridGuard:
         with pytest.raises(ValueError, match="grid mismatch"):
             bfce.estimate(pop_small, seed=1)
 
-    def test_batch_engine_rejects_scaled_grid(self):
-        from repro.experiments.batch import BatchBFCE
-
+    def test_batch_engine_rejects_scaled_grid(self, pop_small):
         with pytest.raises(ValueError, match="pn_denom"):
-            BatchBFCE(config=BFCEConfig.scaled(1 << 14))
+            BFCE(config=BFCEConfig.scaled(1 << 14)).estimate_many(pop_small, [1])
 
     def test_analytic_engine_runs_scaled_grid(self):
         result = BFCE(config=BFCEConfig.scaled(1 << 14)).estimate_analytic(20_000, seed=3)
