@@ -99,30 +99,6 @@ class _Slot:
         self.hists: dict[str, dict] = {}
 
 
-def _observe_into(hists: dict[str, dict], name: str, value: float) -> None:
-    """Fold one sample into a slot-local histogram (same shape as the
-    registry's: count/sum/min/max + sparse log buckets)."""
-    key = _metrics._bucket_key(value)
-    h = hists.get(name)
-    if h is None:
-        hists[name] = {
-            "count": 1,
-            "sum": value,
-            "min": value,
-            "max": value,
-            "buckets": {key: 1},
-        }
-    else:
-        h["count"] += 1
-        h["sum"] += value
-        if value < h["min"]:
-            h["min"] = value
-        if value > h["max"]:
-            h["max"] = value
-        buckets = h["buckets"]
-        buckets[key] = buckets.get(key, 0) + 1
-
-
 class RingWindow:
     """Fixed-size ring of time slots over counters and log-bucket histograms.
 
@@ -175,7 +151,7 @@ class RingWindow:
         if self._first_epoch is None:
             self._first_epoch = epoch
         slot = self._slot_for(epoch)
-        _observe_into(slot.hists, name, value)
+        _metrics.fold_sample(slot.hists, name, value)
 
     # ------------------------------------------------------------------
     def _live_slots(self, now: float, *, include_current: bool = True):

@@ -40,6 +40,7 @@ from contextlib import contextmanager
 __all__ = [
     "add_tap",
     "fold_into_file",
+    "fold_sample",
     "gauge",
     "get",
     "histograms",
@@ -114,28 +115,38 @@ def gauge(name: str, value: float) -> None:
         _gauges[name] = value
 
 
+def fold_sample(hists: dict[str, dict], name: str, value: float) -> None:
+    """Fold one sample into ``hists[name]`` (count/sum/min/max + log bucket).
+
+    The one histogram fold: the registry and the live ring windows
+    (:mod:`repro.obs.live`) both call it, so a windowed histogram is
+    built by exactly the arithmetic of its lifetime counterpart.
+    """
+    key = _bucket_key(value)
+    h = hists.get(name)
+    if h is None:
+        hists[name] = {
+            "count": 1,
+            "sum": value,
+            "min": value,
+            "max": value,
+            "buckets": {key: 1},
+        }
+    else:
+        h["count"] += 1
+        h["sum"] += value
+        if value < h["min"]:
+            h["min"] = value
+        if value > h["max"]:
+            h["max"] = value
+        buckets = h.setdefault("buckets", {})
+        buckets[key] = buckets.get(key, 0) + 1
+
+
 def observe(name: str, value: float) -> None:
     """Fold ``value`` into histogram ``name`` (summary + log buckets)."""
-    key = _bucket_key(value)
     with _lock:
-        h = _hists.get(name)
-        if h is None:
-            _hists[name] = {
-                "count": 1,
-                "sum": value,
-                "min": value,
-                "max": value,
-                "buckets": {key: 1},
-            }
-        else:
-            h["count"] += 1
-            h["sum"] += value
-            if value < h["min"]:
-                h["min"] = value
-            if value > h["max"]:
-                h["max"] = value
-            buckets = h.setdefault("buckets", {})
-            buckets[key] = buckets.get(key, 0) + 1
+        fold_sample(_hists, name, value)
     taps = _taps
     if taps:
         for tap in taps:

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ids import sorted_unique
+
 __all__ = ["Sgtin96", "encode_sgtin96", "decode_sgtin96", "sgtin_population"]
 
 #: SGTIN-96 header value.
@@ -154,8 +156,7 @@ def sgtin_population(
         if len(epcs) >= n:
             break
     low64 = np.array([e & ((1 << 64) - 1) for e in epcs[:n]], dtype=np.uint64)
-    unique = np.unique(low64)
-    if unique.size != low64.size:
+    if sorted_unique(low64).size != low64.size:
         # Company/SKU collisions on the low bits are astronomically rare at
         # these sizes; regenerate deterministically if one happens.
         return sgtin_population(

@@ -271,12 +271,25 @@ class _BatchWorkspace:
         (the high slot bits must cancel).  Sorting tags once by ``rn & h``
         turns every row's prefix membership scan into a binary-search
         slice.  Returns ``(h_mask, order, sorted_keys)``.
+
+        Masked keys have no bits below ``h``'s lowest set bit, so
+        ``keys >> shift`` orders the tags exactly as ``keys`` does.  When
+        that fits in 16 bits (8 for the 32-of-8192 probe) the stable sort
+        runs on it as uint16, which numpy radix-sorts: ~1 ms against ~8 ms
+        for the uint32 keys at n = 10^5.  Wider keys keep the uint32 sort.
         """
         key = (id(population), w, observe_slots)
         if self._prefix is None or self._prefix[0] != key:
-            h_mask = np.uint32((w - 1) ^ (observe_slots - 1))
+            h = (w - 1) ^ (observe_slots - 1)
+            h_mask = np.uint32(h)
             keys = population.rn & h_mask
-            order = np.argsort(keys, kind="stable")
+            shift = (h & -h).bit_length() - 1 if h else 0
+            if h >> shift < 1 << 16:
+                order = np.argsort(
+                    (keys >> np.uint32(shift)).astype(np.uint16), kind="stable"
+                )
+            else:
+                order = np.argsort(keys, kind="stable")
             self._prefix = (key, (h_mask, order, keys[order]))
         return self._prefix[1]
 

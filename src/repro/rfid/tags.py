@@ -34,6 +34,7 @@ from typing import Literal
 import numpy as np
 
 from .hashing import derive_rn_from_ids, mix64, uniform_unit, xor_bitget_hash
+from .ids import sorted_unique
 
 __all__ = [
     "TagPopulation",
@@ -88,7 +89,7 @@ class TagPopulation:
         ids = np.asarray(self.tag_ids, dtype=np.uint64)
         if ids.ndim != 1:
             raise ValueError("tag_ids must be one-dimensional")
-        if ids.size and np.unique(ids).size != ids.size:
+        if sorted_unique(ids).size != ids.size:
             raise ValueError("tag_ids must be unique")
         self.tag_ids = ids
         if self.rn_source == "tagid":

@@ -129,6 +129,30 @@ class TestBatchKernelEquivalence:
             assert np.array_equal(ref.bloom, batch.blooms[t])
 
 
+class TestPrefixIndex:
+    """The narrow-key bucket index orders tags exactly as the uint32 keys."""
+
+    @pytest.mark.parametrize(
+        "w, observe_slots",
+        [(8192, 32), (1 << 17, 32), (1024, 1024), (1 << 22, 32)],
+        ids=["16bit-probe", "16bit-wide-frame", "h-mask-zero", "uint32-fallback"],
+    )
+    @pytest.mark.parametrize("rn_source", ["tagid", "random"])
+    def test_matches_stable_argsort(self, w, observe_slots, rn_source):
+        pop = TagPopulation(
+            uniform_ids(20_000, seed=21), rn_source=rn_source, rn_seed=5
+        )
+        ws = frames_mod._BatchWorkspace()
+        h_mask, order, sorted_keys = ws.prefix_index(pop, w, observe_slots)
+        assert h_mask == np.uint32((w - 1) ^ (observe_slots - 1))
+        keys = pop.rn & h_mask
+        ref = np.argsort(keys, kind="stable")
+        assert np.array_equal(order, ref)
+        assert sorted_keys.dtype == np.uint32
+        assert np.array_equal(sorted_keys, keys[ref])
+        assert ws.prefix_index(pop, w, observe_slots)[1] is order
+
+
 class TestBatchFrameResult:
     def test_accessors_and_frame_materialisation(self):
         pop = TagPopulation(uniform_ids(1_000, seed=14))

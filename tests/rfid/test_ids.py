@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.rfid.ids import (
     DISTRIBUTIONS,
@@ -9,8 +11,63 @@ from repro.rfid.ids import (
     approx_normal_ids,
     make_ids,
     normal_ids,
+    sorted_unique,
     uniform_ids,
 )
+
+_U64_MAX = (1 << 64) - 1
+
+#: uint64 values biased toward collisions and the top of the range: a small
+#: pool makes duplicates likely, and the top values exercise the full width.
+_u64 = st.one_of(
+    st.integers(0, 16),
+    st.integers(_U64_MAX - 16, _U64_MAX),
+    st.integers(0, _U64_MAX),
+)
+
+
+def _assert_same_as_numpy(a: np.ndarray) -> None:
+    got = sorted_unique(a)
+    want = np.unique(a)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+class TestSortedUnique:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_u64, max_size=64))
+    def test_equals_numpy_unique_uint64(self, values):
+        _assert_same_as_numpy(np.array(values, dtype=np.uint64))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-(1 << 63), (1 << 63) - 1), max_size=64))
+    def test_equals_numpy_unique_int64(self, values):
+        _assert_same_as_numpy(np.array(values, dtype=np.int64))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [7],
+            [_U64_MAX],
+            [5, 5, 5, 5],
+            [_U64_MAX, _U64_MAX - 1, _U64_MAX, 0, _U64_MAX - 1],
+            [3, 1, 2],
+        ],
+        ids=["empty", "one", "max", "all-dups", "near-2^64", "unsorted"],
+    )
+    def test_edge_cases(self, values):
+        _assert_same_as_numpy(np.array(values, dtype=np.uint64))
+
+    def test_large_draw(self):
+        rng = np.random.default_rng(0)
+        a = rng.integers(0, 1 << 20, size=100_000, dtype=np.uint64)
+        _assert_same_as_numpy(a)
+
+    def test_does_not_modify_input(self):
+        a = np.array([3, 1, 3, 2], dtype=np.uint64)
+        sorted_unique(a)
+        assert a.tolist() == [3, 1, 3, 2]
 
 
 class TestUniformIds:

@@ -16,6 +16,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="unique"):
             TagPopulation(np.array([1, 1, 2], dtype=np.uint64))
 
+    def test_unsorted_duplicate_ids_rejected(self):
+        """The duplicate check must not assume sorted input."""
+        with pytest.raises(ValueError, match="unique"):
+            TagPopulation(np.array([5, 1, 5], dtype=np.uint64))
+
     def test_2d_ids_rejected(self):
         with pytest.raises(ValueError, match="one-dimensional"):
             TagPopulation(np.ones((2, 2), dtype=np.uint64))
