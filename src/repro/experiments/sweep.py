@@ -40,6 +40,7 @@ import hashlib
 import json
 import logging
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import lru_cache
@@ -549,17 +550,27 @@ class TrialCache:
         return entry["payload"]
 
     def store(self, canonical: str, payload) -> None:
-        """Persist one payload (atomically) under its content key."""
+        """Persist one payload (atomically) under its content key.
+
+        The temp name carries the process and the thread id, so two engine
+        threads storing one key never share a temp file.  The directory is
+        created only when a write finds it missing (the first store, or
+        after it was removed), not on every store.
+        """
         path = self._path(canonical)
-        self.directory.mkdir(parents=True, exist_ok=True)
         entry = {
             "format": _FORMAT,
             "token": self.token,
             "spec": canonical,
             "payload": payload,
         }
-        tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-        tmp.write_text(_dumps(entry))
+        text = _dumps(entry)
+        tmp = path.with_name(f"{path.name}.tmp{os.getpid()}.{threading.get_ident()}")
+        try:
+            tmp.write_text(text)
+        except FileNotFoundError:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            tmp.write_text(text)
         os.replace(tmp, path)
         self.stores += 1
         _metrics.inc("sweep.cache.store")

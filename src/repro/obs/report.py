@@ -213,6 +213,7 @@ def summarise(path: str | Path) -> dict:
     ):
         latency = hists.get("service.request.seconds")
         batch = hists.get("service.coalesce.batch")
+        job_groups = hists.get("service.coalesce.job_groups")
         service = {
             "requests": counters.get("service.requests", 0),
             "shed": counters.get("service.admission.shed", 0),
@@ -223,6 +224,13 @@ def summarise(path: str | Path) -> dict:
             "p99_ms": _q_ms(_metrics, latency, 0.99),
             "mean_batch": (
                 batch["sum"] / batch["count"] if batch and batch["count"] else None
+            ),
+            # Groups per executor job: a tick's groups run in order in one
+            # job, so a value above 1 is where head-of-line waits come from.
+            "mean_job_groups": (
+                job_groups["sum"] / job_groups["count"]
+                if job_groups and job_groups["count"]
+                else None
             ),
         }
 
@@ -316,6 +324,12 @@ def render_summary(summary: dict) -> str:
             f"p50={'n/a' if p50 is None else f'{p50:.2f} ms'} "
             f"p99={'n/a' if p99 is None else f'{p99:.2f} ms'}"
         )
+        batch, job_groups = service.get("mean_batch"), service.get("mean_job_groups")
+        if batch is not None and job_groups is not None:
+            lines.append(
+                f"coalescing : {batch:.2f} seed(s) per group, "
+                f"{job_groups:.2f} group(s) per executor job"
+            )
     sketch = summary.get("sketch")
     if sketch:
         lines.append(

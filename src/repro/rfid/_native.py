@@ -18,7 +18,7 @@ path against the serial estimators whenever it is active.
 
 Threading model (DESIGN.md §6): every kernel's outer axis iterates over
 *independent* work items — lottery frames, ALOHA frames, BFCE frames, or
-(for the single-frame analytic scatter) disjoint ball ranges merged by
+(for the analytic scatter) disjoint ball ranges merged by
 exact integer addition.  Each item's SplitMix64 stream is a pure function
 of its own seed and each item writes a disjoint output row, so splitting
 the axis into contiguous per-thread blocks cannot change any output bit:
@@ -314,20 +314,12 @@ void bfce_counts_batch(const uint64_t *ids, const uint32_t *rn, size_t n,
     run_blocks(bfce_block, &c, c_frames, n_threads);
 }
 
-/* Uniform ball scatter of the analytic occupancy engine.  Frame j throws
- * balls[j] i.i.d. uniform balls into n_slots slots; ball i (1-based) lands
- * in slot mix64(seed_j + i) % n_slots — the same counter-mode SplitMix64
+/* Uniform ball scatter of the analytic occupancy engine: one frame throws
+ * `balls` i.i.d. uniform balls into n_slots slots; ball i (1-based) lands
+ * in slot mix64(seed + i) % n_slots — the same counter-mode SplitMix64
  * stream as repro.rfid.occupancy.scatter_counts, so the two paths are
- * bit-identical.  counts is m rows of n_slots int32 entries.
- * Threaded over frames (each row independent); the common single-frame
- * call threads over ball ranges instead via analytic_scatter_balls below.
+ * bit-identical.
  */
-typedef struct {
-    const uint64_t *seeds; const int64_t *balls;
-    uint64_t n_slots;
-    int32_t *counts;
-} scatter_ctx;
-
 static void scatter_row(uint64_t seed, int64_t lo, int64_t hi,
                         uint64_t n_slots, int32_t *row) {
     /* Balls (lo, hi]: 1-based counter-mode stream.  int32 rows: the loop
@@ -344,23 +336,6 @@ static void scatter_row(uint64_t seed, int64_t lo, int64_t hi,
     else
         for (int64_t i = lo + 1; i <= hi; i++)
             row[mix64(seed + (uint64_t)i) % n_slots]++;
-}
-
-static void scatter_block(void *p, size_t lo, size_t hi, int tid) {
-    scatter_ctx *c = (scatter_ctx *)p;
-    (void)tid;
-    for (size_t j = lo; j < hi; j++) {
-        int32_t *row = c->counts + j * c->n_slots;
-        memset(row, 0, c->n_slots * sizeof(int32_t));
-        scatter_row(c->seeds[j], 0, c->balls[j], c->n_slots, row);
-    }
-}
-
-void analytic_scatter_batch(const uint64_t *seeds, const int64_t *balls,
-                            size_t m, uint64_t n_slots, int32_t *counts,
-                            int n_threads) {
-    scatter_ctx c = {seeds, balls, n_slots, counts};
-    run_blocks(scatter_block, &c, m, n_threads);
 }
 
 /* Single-frame scatter threaded over disjoint ball ranges.  Thread 0
@@ -508,6 +483,9 @@ _I32P = ctypes.POINTER(ctypes.c_int32)
 _U8P = ctypes.POINTER(ctypes.c_uint8)
 
 _lib: ctypes.CDLL | None = None
+#: The same library through a ``PyDLL`` handle, whose calls keep the GIL
+#: (see :func:`analytic_scatter_native`).
+_gil_lib: ctypes.PyDLL | None = None
 _build_failed = False
 
 #: Hard cap on kernel threads (matches REPRO_MAX_THREADS in the C source;
@@ -686,13 +664,14 @@ def _compile_variant(
     return so_path
 
 
-def _compile() -> ctypes.CDLL | None:
+def _compile() -> tuple[ctypes.CDLL, ctypes.PyDLL] | None:
     """Compile the kernel source (cached by content hash) and load it.
 
     Tries the pthread build first, then a serial fallback of the same
     source (``REPRO_MT`` undefined) on hosts whose toolchain lacks
     ``-pthread`` — the kernels then run their single-threaded path with
-    identical outputs.
+    identical outputs.  Returns a GIL-releasing ``CDLL`` handle and a
+    GIL-holding ``PyDLL`` handle on the one loaded library.
     """
     tag = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
     build_dir = _build_dir()
@@ -713,6 +692,7 @@ def _compile() -> ctypes.CDLL | None:
         return None
     try:
         lib = ctypes.CDLL(str(so_path))
+        gil_lib = ctypes.PyDLL(str(so_path))
     except OSError:
         return None
     lib.threads_compiled.argtypes = []
@@ -733,15 +713,12 @@ def _compile() -> ctypes.CDLL | None:
         ctypes.c_int, _I64P, ctypes.c_int,
     ]
     lib.bfce_counts_batch.restype = None
-    lib.analytic_scatter_batch.argtypes = [
-        _U64P, _I64P, ctypes.c_size_t, ctypes.c_uint64, _I32P, ctypes.c_int,
-    ]
-    lib.analytic_scatter_batch.restype = None
-    lib.analytic_scatter_balls.argtypes = [
-        ctypes.c_uint64, ctypes.c_int64, ctypes.c_uint64, _I32P, _I32P,
-        ctypes.c_int,
-    ]
-    lib.analytic_scatter_balls.restype = None
+    for handle in (lib, gil_lib):
+        handle.analytic_scatter_balls.argtypes = [
+            ctypes.c_uint64, ctypes.c_int64, ctypes.c_uint64, _I32P, _I32P,
+            ctypes.c_int,
+        ]
+        handle.analytic_scatter_balls.restype = None
     lib.hll_update_batch.argtypes = [
         _U64P, ctypes.c_size_t, ctypes.c_uint64, ctypes.c_int, _U8P, _U8P,
         ctypes.c_int,
@@ -749,17 +726,19 @@ def _compile() -> ctypes.CDLL | None:
     lib.hll_update_batch.restype = None
     lib.hll_merge_batch.argtypes = [_U8P, ctypes.c_size_t, ctypes.c_size_t, _U8P]
     lib.hll_merge_batch.restype = None
-    return lib
+    return lib, gil_lib
 
 
 def get_lib() -> ctypes.CDLL | None:
     """The loaded kernel library, or None when disabled/unbuildable."""
-    global _lib, _build_failed
+    global _lib, _gil_lib, _build_failed
     if not native_enabled():
         return None
     if _lib is None and not _build_failed:
-        _lib = _compile()
-        _build_failed = _lib is None
+        handles = _compile()
+        _build_failed = handles is None
+        if handles is not None:
+            _lib, _gil_lib = handles
         from ..obs import metrics as _metrics
 
         _metrics.inc("kernel.native.build.ok" if _lib else "kernel.native.build.failed")
@@ -853,42 +832,31 @@ def bfce_counts_native(
     return counts
 
 
-def analytic_scatter_native(
-    seeds: np.ndarray, balls: np.ndarray, n_slots: int
-) -> np.ndarray:
-    """C fast path of the analytic uniform ball scatter.
+def analytic_scatter_native(seed: int, balls: int, n_slots: int) -> np.ndarray:
+    """C fast path of the analytic uniform ball scatter, one frame.
 
-    ``seeds``/``balls`` are aligned per-frame scatter seeds and ball counts;
-    returns int32 counts of shape ``(len(seeds), n_slots)``, row-identical
-    to the NumPy path of :func:`repro.rfid.occupancy.scatter_counts`.
-    Multi-frame calls thread over frames; the single-frame call (the
-    analytic engine's steady state) threads over disjoint ball ranges with
-    per-thread partial rows merged by exact integer addition — identical
-    counts at every thread count.
+    Returns the int32 counts of ``balls`` balls over ``n_slots`` slots,
+    identical to the NumPy path of :func:`repro.rfid.occupancy.scatter_counts`.
+    A call of at least ``_MT_MIN_EVENTS`` balls threads over disjoint ball
+    ranges, with per-thread partial rows merged by exact integer addition
+    (identical counts at every thread count), and releases the GIL.  A
+    smaller call runs on one thread through the ``PyDLL`` handle, which
+    keeps the GIL: it finishes sooner than a GIL handoff to another thread
+    and back would.
     """
-    lib = get_lib()
-    seeds = np.ascontiguousarray(seeds, dtype=np.uint64)
-    balls = np.ascontiguousarray(balls, dtype=np.int64)
-    if balls.size and int(balls.max()) >= 1 << 31:
+    if balls >= 1 << 31:
         raise ValueError("per-frame ball count must fit int32")
-    counts = np.empty((seeds.size, n_slots), dtype=np.int32)
-    if seeds.size == 1:
-        n_balls = int(balls[0])
-        nt = _threads_for(n_balls, n_balls)
-        scratch = np.empty((max(0, nt - 1), n_slots), dtype=np.int32)
-        t0 = time.perf_counter()
-        lib.analytic_scatter_balls(
-            ctypes.c_uint64(int(seeds[0])), ctypes.c_int64(n_balls),
-            ctypes.c_uint64(n_slots), counts.ctypes.data_as(_I32P),
-            scratch.ctypes.data_as(_I32P), ctypes.c_int(nt),
-        )
-        _record_call("analytic_scatter", nt, time.perf_counter() - t0)
-        return counts
-    nt = _threads_for(seeds.size, int(balls.sum()))
+    lib = get_lib()
+    counts = np.empty(n_slots, dtype=np.int32)
+    if balls < _MT_MIN_EVENTS:
+        nt, scatter, scratch = 1, _gil_lib.analytic_scatter_balls, None
+    else:
+        nt, scatter = _threads_for(balls, balls), lib.analytic_scatter_balls
+        scratch = np.empty((nt - 1, n_slots), dtype=np.int32)
     t0 = time.perf_counter()
-    lib.analytic_scatter_batch(
-        _as_u64p(seeds), balls.ctypes.data_as(_I64P), seeds.size,
-        ctypes.c_uint64(n_slots), counts.ctypes.data_as(_I32P), ctypes.c_int(nt),
+    scatter(
+        seed, balls, n_slots, counts.ctypes.data_as(_I32P),
+        None if scratch is None else scratch.ctypes.data_as(_I32P), nt,
     )
     _record_call("analytic_scatter", nt, time.perf_counter() - t0)
     return counts

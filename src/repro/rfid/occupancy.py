@@ -101,11 +101,7 @@ def scatter_counts(scatter_seed: int, balls: int, n_slots: int) -> np.ndarray:
         raise ValueError("balls must be non-negative")
     if _native.get_lib() is not None:
         _metrics.inc("kernel.native.analytic_scatter")
-        return _native.analytic_scatter_native(
-            np.array([scatter_seed], dtype=np.uint64),
-            np.array([balls], dtype=np.int64),
-            n_slots,
-        )[0]
+        return _native.analytic_scatter_native(scatter_seed, balls, n_slots)
     _metrics.inc("kernel.numpy.analytic_scatter")
     counts = np.zeros(n_slots, dtype=np.int32)
     mod = np.uint64(n_slots)
@@ -325,17 +321,21 @@ class AnalyticReader:
             pn_denom=self.pn_denom,
         )
         busy = self.channel.observe(counts, rng=self._rng)
-        bloom = (~busy).astype(np.uint8)
+        idle = np.logical_not(busy)
+        slots = idle.size
+        ones = int(np.count_nonzero(idle))
+        # ones / slots is bloom.mean() bit for bit: both divide an exact
+        # integer by the slot count with one correctly rounded division.
         result = FrameResult(
-            bloom=bloom,
-            rho=float(bloom.mean()),
+            bloom=idle.view(np.uint8),
+            rho=ones / slots,
             responses=int(counts.sum()),
             w=w,
         )
-        self.ledger.record_uplink(result.observed_slots, phase=phase, label="frame")
+        self.ledger.record_uplink(slots, phase=phase, label="frame")
         _metrics.inc("frame.count")
-        _metrics.inc("frame.slots.idle", result.ones)
-        _metrics.inc("frame.slots.busy", result.observed_slots - result.ones)
+        _metrics.inc("frame.slots.idle", ones)
+        _metrics.inc("frame.slots.busy", slots - ones)
         return result
 
     def sense_slots(self, busy: np.ndarray, *, phase: str = "", label: str = "slots") -> None:

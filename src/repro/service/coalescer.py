@@ -12,17 +12,29 @@ Mechanics: an ``estimate`` request lands in a pending group keyed by its
 zone's :meth:`~repro.service.zones.ZoneConfig.group_key`.  The first
 arrival arms a flush timer one *tick* out (default 2 ms — far below the
 SLO, long enough for a burst to pile up); the flush snapshots all pending
-groups and runs each on the shared executor.  Within a group the distinct
-seeds are sorted and split into contiguous runs; each run becomes one
-``SweepPoint`` executed through :func:`execute_point_inline` — so results
-flow through the same JSON normalisation and content-addressed disk cache
-as offline sweeps, topped by a small in-memory LRU for the hot repeats a
-disk round-trip would dominate.  Duplicate (config, seed) requests in a
-tick share a single result.
+groups and ships them to the shared executor as **one job**.  The job runs
+the groups in order; within a group the distinct seeds are sorted and
+split into contiguous runs, and each run becomes one ``SweepPoint``
+executed through :func:`execute_point_inline` — so results flow through
+the same JSON normalisation and content-addressed disk cache as offline
+sweeps, topped by a small in-memory LRU for the hot repeats a disk
+round-trip would dominate.  Duplicate (config, seed) requests in a tick
+share a single result.  A group that raises fails only its own waiters.
 
 Threading: futures are created, resolved and awaited on the event loop;
-engine work (and its ``service.coalesce > service.engine`` spans — the
-tracer's span stack is thread-local) runs inside the executor thread.
+engine work (and its ``service.request > service.coalesce >
+service.engine`` spans — the tracer's span stack is thread-local) runs
+inside the executor thread.  Each tick costs one executor job and one loop
+wakeup: when the job ends, a single loop callback delivers every group's
+records.  The reason is the GIL: one job (and one loop wakeup) per
+*group* handed the GIL between the loop and the engine threads about once
+per request.  On the serve-cold benchmark (2-vCPU host) that cost 40–45
+voluntary context switches and 2.2–3.5 ms of server CPU per request,
+0.4–0.5 ms of it on the loop thread; one job per tick costs 0.2–0.6
+switches and 1.0–1.3 ms, 0.12–0.17 ms on the loop.  The trade-off is
+head-of-line blocking: within a tick job a slow group delays the responses
+of the groups after it.  ``service.coalesce.job_groups`` (groups per job,
+observed once per tick) shows how many groups shared a job.
 """
 
 from __future__ import annotations
@@ -118,20 +130,34 @@ class RequestCoalescer:
         return await future
 
     def _flush(self) -> None:
-        """Tick fired: ship every pending group to the executor."""
+        """Tick fired: ship every pending group to the executor as one job."""
         self._flush_handle = None
         pending, self._pending = self._pending, {}
-        loop = asyncio.get_running_loop()
+        batches = []
         for group in pending.values():
             seeds = sorted(group.waiters)
             self.batches += 1
             _metrics.observe("service.coalesce.batch", float(len(seeds)))
-            engine_future = loop.run_in_executor(
-                self.executor, self._run_group_sync, group.config, seeds
-            )
-            engine_future.add_done_callback(
-                lambda f, g=group, s=seeds: self._deliver(g, s, f)
-            )
+            batches.append((group, seeds))
+        _metrics.observe("service.coalesce.job_groups", float(len(batches)))
+        job = asyncio.get_running_loop().run_in_executor(
+            self.executor, self._run_tick_sync, batches
+        )
+        job.add_done_callback(lambda f: self._deliver(batches, f))
+
+    def _run_tick_sync(self, batches) -> list:
+        """Executor thread: run a tick's groups in order, one job.
+
+        Returns one outcome per group: its records, or the exception it
+        raised — a failing group fails only its own waiters.
+        """
+        outcomes: list = []
+        for group, seeds in batches:
+            try:
+                outcomes.append(self._run_group_sync(group.config, seeds))
+            except Exception as exc:  # noqa: BLE001 — delivered to the group
+                outcomes.append(exc)
+        return outcomes
 
     # ------------------------------------------------------------------
     def _run_group_sync(self, config: ZoneConfig, seeds: list[int]) -> list[dict]:
@@ -179,26 +205,22 @@ class RequestCoalescer:
         _metrics.observe("service.engine.seconds", time.perf_counter() - started)
         return records
 
-    def _deliver(self, group: _Group, seeds: list[int], engine_future) -> None:
-        """Loop thread: fan the group result back out to every waiter."""
-        try:
-            records = engine_future.result()
-        except Exception as exc:  # noqa: BLE001 — forwarded to every waiter
-            error = exc
-            records = None
-        else:
-            error = None
-        key = group.config.group_key()
-        for index, seed in enumerate(seeds):
-            for future in group.waiters[seed]:
-                if future.done():  # waiter went away (connection dropped)
-                    continue
-                if error is not None:
-                    future.set_exception(_as_service_error(error))
-                else:
-                    future.set_result(records[index])
-            if error is None:
-                self._memory_put(key, seed, records[index])
+    def _deliver(self, batches, job) -> None:
+        """Loop thread: one callback fans every group of a tick job out to
+        its waiters — the group's records, or the exception it raised."""
+        for (group, seeds), outcome in zip(batches, job.result()):
+            failed = isinstance(outcome, Exception)
+            key = group.config.group_key()
+            for index, seed in enumerate(seeds):
+                for future in group.waiters[seed]:
+                    if future.done():  # waiter went away (connection dropped)
+                        continue
+                    if failed:
+                        future.set_exception(_as_service_error(outcome))
+                    else:
+                        future.set_result(outcome[index])
+                if not failed:
+                    self._memory_put(key, seed, outcome[index])
 
     # ------------------------------------------------------------------
     def _memory_get(self, key: str, seed: int) -> dict | None:

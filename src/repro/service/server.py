@@ -13,7 +13,13 @@ completion order (matched by the echoed ``id``).  The request path::
 Engine work runs on a ``ThreadPoolExecutor``; before the pool spins up,
 :func:`repro.rfid._native.divide_thread_budget` splits the native kernel
 thread budget across the executor workers so ``workers × cores``
-oversubscription cannot happen.  Zone state, admission counters and the
+oversubscription cannot happen.  The coalescer hands the executor one job
+per tick, however many zone groups the tick holds, and one loop callback
+delivers the whole tick: every handoff between the loop and an engine
+thread is a GIL handoff and a context switch, and per-group jobs cost
+40–45 voluntary switches and twice the CPU per cold request (see
+:mod:`.coalescer`).  In exchange, a slow group delays the other groups of
+its tick (head-of-line blocking).  Zone state, admission counters and the
 coalescer's pending map are touched only from the loop thread, so the
 server needs no locks beyond the per-connection write lock that keeps
 concurrently completing responses from interleaving bytes on the socket.

@@ -15,6 +15,9 @@ The layer's contracts, in order of importance:
 """
 
 import json
+import shutil
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -283,6 +286,48 @@ class TestEntryVerification:
         assert recomputed == cold
         # The recompute republished a valid entry.
         assert cache.load(point.canonical) is not None
+
+    @pytest.mark.parametrize("n_threads", [2, 4])
+    def test_concurrent_same_key_stores(self, tmp_path, n_threads):
+        # Two engine threads of one server can compute the same (zone,
+        # seed); their stores of one key must not share a temp file.
+        cache = TrialCache(tmp_path / "cache")
+        canonical = _point().canonical
+        payload = {"records": [{"n_hat": 1.5, "seed": 5}]}
+        start = threading.Barrier(n_threads)
+        errors = []
+
+        def hammer():
+            start.wait()
+            try:
+                for _ in range(300):
+                    cache.store(canonical, payload)
+            except Exception as exc:  # noqa: BLE001 — collected for the assert
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert cache.load(canonical) == payload
+        assert list(cache.directory.glob("*.tmp*")) == []
+
+    def test_store_recreates_a_removed_directory(self, tmp_path):
+        cache = TrialCache(tmp_path / "cache")
+        first, second = _point(base_seed=1).canonical, _point(base_seed=2).canonical
+        cache.store(first, {"v": 1})
+        shutil.rmtree(cache.directory)
+        cache.store(second, {"v": 2})
+        assert cache.load(second) == {"v": 2}
+        assert cache.load(first) is None
 
     def test_stats_and_clear(self, tmp_path):
         cache = TrialCache(tmp_path)

@@ -290,6 +290,50 @@ class TestThreadedEquivalence:
 
 
 @needs_native
+class TestSingleFrameScatter:
+    """The analytic scatter is one single-frame call: below
+    ``_MT_MIN_EVENTS`` balls it runs on one thread through the GIL-holding
+    handle, above it threads over ball ranges and releases the GIL — the
+    counts equal the NumPy path either way."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize(
+        "balls,n_slots",
+        [
+            (1, 1 << 13),
+            (_native._MT_MIN_EVENTS - 1, 1 << 13),
+            (_native._MT_MIN_EVENTS, 1 << 13),
+            (3 * _native._MT_MIN_EVENTS + 7, 4_000),
+        ],
+    )
+    def test_native_equals_numpy_around_threshold(
+        self, threads, balls, n_slots, monkeypatch
+    ):
+        from repro.rfid.occupancy import scatter_counts
+
+        monkeypatch.setenv("REPRO_NATIVE_THREADS", threads)
+        native = scatter_counts(0x5EED, balls, n_slots)
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        reference = scatter_counts(0x5EED, balls, n_slots)
+        assert native.shape == (n_slots,)
+        assert native.dtype == reference.dtype == np.int32
+        assert np.array_equal(native, reference)
+
+    def test_small_calls_stay_on_one_thread(self, monkeypatch):
+        from repro.obs import metrics
+
+        monkeypatch.setenv("REPRO_NATIVE_THREADS", "2")
+        before = metrics.get("kernel.native.calls_threaded")
+        _native.analytic_scatter_native(9, _native._MT_MIN_EVENTS - 1, 1 << 13)
+        assert metrics.get("kernel.native.calls_threaded") == before
+        assert metrics.snapshot()["gauges"]["native.threads_used"] == 1
+
+    def test_ball_count_must_fit_int32(self):
+        with pytest.raises(ValueError, match="int32"):
+            _native.analytic_scatter_native(1, 1 << 31, 64)
+
+
+@needs_native
 class TestThreadObservability:
     def test_kernel_calls_emit_thread_gauge_and_timings(self, monkeypatch):
         from repro.obs import metrics

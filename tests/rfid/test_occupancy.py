@@ -11,7 +11,7 @@ from scipy.stats import chi2
 from repro.core.bfce import BFCE
 from repro.core.config import BFCEConfig
 from repro.rfid import _native
-from repro.rfid.channel import NoisyChannel
+from repro.rfid.channel import Channel, NoisyChannel, PerfectChannel
 from repro.rfid.occupancy import (
     _MULTINOMIAL_CUTOVER,
     AnalyticReader,
@@ -187,6 +187,41 @@ class TestAnalyticReader:
         )
         frame = reader.sense_frame(w=256, seeds=reader.fresh_seeds(3), p_n=512)
         assert 0.0 <= frame.rho <= 1.0
+
+    @pytest.mark.parametrize(
+        "channel",
+        [PerfectChannel(), NoisyChannel(miss_prob=0.2, false_alarm_prob=0.05)],
+        ids=["perfect", "noisy"],
+    )
+    def test_rho_is_bloom_mean_bit_for_bit(self, channel):
+        reader = AnalyticReader(5_000, seed=3, channel=channel)
+        for p_n, observe_slots in [(512, None), (1023, 32), (1, None), (200, 7)]:
+            frame = reader.sense_frame(
+                w=256, seeds=reader.fresh_seeds(3), p_n=p_n,
+                observe_slots=observe_slots,
+            )
+            assert frame.bloom.dtype == np.uint8
+            assert set(np.unique(frame.bloom)) <= {0, 1}
+            assert frame.rho == float(frame.bloom.mean())
+
+    def test_channel_observes_every_frame(self):
+        class CountingChannel(Channel):
+            def __init__(self):
+                self.calls = 0
+
+            def observe(self, counts, rng=None):
+                self.calls += 1
+                return PerfectChannel().observe(counts, rng=rng)
+
+        channel = CountingChannel()
+        reader = AnalyticReader(5_000, seed=4, channel=channel)
+        for _ in range(5):
+            reader.sense_frame(w=128, seeds=reader.fresh_seeds(3), p_n=512)
+        assert channel.calls == 5
+
+    def test_perfect_channel_rejects_negative_counts(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            PerfectChannel().observe(np.array([0, -1, 2], dtype=np.int32))
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):

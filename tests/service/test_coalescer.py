@@ -8,12 +8,13 @@ be byte-for-byte the records N sequential direct singles produce.
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 
 import pytest
 
 from repro.experiments.sweep import execute_point_inline
-from repro.obs import metrics
+from repro.obs import metrics, trace
+from repro.obs import report as obs_report
 from repro.service.coalescer import RequestCoalescer, _contiguous_runs
 from repro.service.protocol import ServiceError
 from repro.service.zones import ZoneConfig
@@ -161,6 +162,88 @@ def test_engine_failure_reaches_every_waiter_as_service_error(cache):
     for exc in results:
         assert isinstance(exc, ServiceError)
         assert exc.code == 500
+
+
+class CountingExecutor(Executor):
+    """Forwards to a thread pool, counting the jobs it is handed."""
+
+    def __init__(self, inner: Executor) -> None:
+        self.inner = inner
+        self.submits = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.submits += 1
+        return self.inner.submit(fn, *args, **kwargs)
+
+
+def run_counting(fn, *, cache=None):
+    async def main():
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            executor = CountingExecutor(pool)
+            coalescer = RequestCoalescer(
+                cache=cache, executor=executor, tick_seconds=0.001
+            )
+            return await fn(coalescer), executor.submits
+
+    return asyncio.run(main())
+
+
+def test_one_executor_job_per_tick(cache):
+    configs = [ZoneConfig(n=N + i, engine="analytic") for i in range(4)]
+
+    async def scenario(coalescer):
+        return await asyncio.gather(
+            *(coalescer.estimate(config, 7) for config in configs)
+        )
+
+    served, submits = run_counting(scenario, cache=cache)
+    # Four groups, one tick: one executor job and one engine call each.
+    assert submits == 1
+    assert metrics.get("service.engine.calls") == 4
+    job_groups = metrics.histograms()["service.coalesce.job_groups"]
+    assert (job_groups["count"], job_groups["sum"]) == (1, 4.0)
+    for config, record in zip(configs, served):
+        assert record == direct_single(config, 7)
+
+
+def test_obs_summary_reports_groups_per_executor_job(cache, tmp_path):
+    configs = [ZoneConfig(n=N + i, engine="analytic") for i in range(3)]
+
+    async def scenario(coalescer):
+        await asyncio.gather(*(coalescer.estimate(c, 2) for c in configs))
+        await coalescer.estimate(configs[0], 3)  # a second, one-group tick
+
+    path = tmp_path / "t.jsonl"
+    trace.configure(path)
+    run_counting(scenario, cache=cache)
+    trace.flush()
+    summary = obs_report.summarise(path)
+    assert summary["service"]["mean_job_groups"] == 2.0  # (3 + 1) / 2 ticks
+    assert summary["service"]["mean_batch"] == 1.0
+    text = obs_report.render_summary(summary)
+    assert "2.00 group(s) per executor job" in text
+
+
+def test_failing_group_fails_only_its_own_waiters(cache):
+    broken = ZoneConfig(n=N, distribution="T9", engine="batched")
+    healthy = ZoneConfig(n=N, engine="batched")
+
+    async def scenario(coalescer):
+        return await asyncio.gather(
+            coalescer.estimate(broken, 0),
+            coalescer.estimate(healthy, 3),
+            coalescer.estimate(broken, 1),
+            coalescer.estimate(healthy, 4),
+            return_exceptions=True,
+        )
+
+    (bad0, good3, bad1, good4), submits = run_counting(scenario, cache=cache)
+    assert submits == 1  # both groups rode the same tick job
+    for exc in (bad0, bad1):
+        assert isinstance(exc, ServiceError)
+        assert exc.code == 500
+    assert good3 == direct_single(healthy, 3)
+    assert good4 == direct_single(healthy, 4)
 
 
 def test_contiguous_runs_helper():
