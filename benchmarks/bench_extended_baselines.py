@@ -13,7 +13,6 @@ import numpy as np
 from conftest import run_once
 
 from repro.baselines import A3, PET, SRC, ZOE
-from repro.baselines.batch import run_src_batch, run_zoe_batch
 from repro.core.accuracy import AccuracyRequirement
 from repro.core.bfce import BFCE
 from repro.experiments.workloads import population
@@ -28,12 +27,13 @@ def _run(trials):
     seeds = [60 + t for t in range(trials)]
     out = {}
     for name, runner in {
-        # SRC and ZOE route through the lockstep batch engine (bit-identical
-        # to per-trial .estimate(), so the assertions below are unaffected).
+        # SRC and ZOE run through their batched tier, estimate_many
+        # (bit-identical to per-trial .estimate(), so the assertions below
+        # are unaffected).
         "BFCE": lambda: [BFCE(requirement=req).estimate(pop, seed=s) for s in seeds],
         "A3": lambda: [A3(req).estimate(pop, seed=s) for s in seeds],
-        "SRC": lambda: run_src_batch(SRC(req), pop, seeds),
-        "ZOE": lambda: run_zoe_batch(ZOE(req), pop, seeds),
+        "SRC": lambda: SRC(req).estimate_many(pop, seeds),
+        "ZOE": lambda: ZOE(req).estimate_many(pop, seeds),
         "PET": lambda: [PET(pet_req).estimate(pop, seed=s) for s in seeds],
     }.items():
         runs = runner()

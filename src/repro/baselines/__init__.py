@@ -9,23 +9,9 @@ paper names is runnable against the same substrate.
 """
 
 from .a3 import A3
-from .analytic import (
-    baseline_analytic_supported,
-    run_baseline_trials_analytic,
-    run_lof_analytic,
-    run_src_analytic,
-    run_zoe_analytic,
-)
 from .art import ART
 from .base import CardinalityEstimator, EstimationResult
-from .batch import (
-    baseline_batchable,
-    run_baseline_trials_batched,
-    run_hll_batch,
-    run_lof_batch,
-    run_src_batch,
-    run_zoe_batch,
-)
+from .batch import baseline_batchable, run_baseline_trials_batched
 from .hll import HLL, HLL_PARAMS_BITS, HLL_RANK_BITS
 from .ezb import EZB, ezb_required_rounds, variance_factor_g
 from .fneb import FNEB, fneb_required_rounds
@@ -44,17 +30,8 @@ __all__ = [
     "pet_required_rounds",
     "CardinalityEstimator",
     "EstimationResult",
-    "baseline_analytic_supported",
     "baseline_batchable",
-    "run_baseline_trials_analytic",
     "run_baseline_trials_batched",
-    "run_lof_analytic",
-    "run_src_analytic",
-    "run_zoe_analytic",
-    "run_hll_batch",
-    "run_lof_batch",
-    "run_src_batch",
-    "run_zoe_batch",
     "HLL",
     "HLL_PARAMS_BITS",
     "HLL_RANK_BITS",

@@ -1,439 +1,43 @@
-"""Batched multi-trial engine for the baseline estimators (LOF, ZOE, SRC).
+"""Batched multi-trial adapter for the baseline estimators (LOF, ZOE, SRC, HLL).
 
-PR 1's lockstep engine (:mod:`repro.experiments.batch`) removed the per-trial
-simulation overhead from BFCE sweeps, which left the Figs. 9–10 comparison
-bottlenecked on the *baselines*: the serial :func:`~repro.experiments.runner.run_trials`
-re-hashes the whole population once per round per trial.  This module applies
-the same pattern to the baseline family — advance all ``T`` trials in
-lockstep, execute each lockstep round's population-sized work as one batched
-kernel call, and account time in a NumPy-array
-:class:`~repro.timing.accounting.BatchLedger` instead of per-message Python
-objects.
+Each baseline's protocol is written once (:mod:`repro.baselines.lockstep`);
+its batched tier, ``estimate_many``, runs that driver over one
+:class:`~repro.rfid.reader.Reader` per trial with the batched frame source,
+so every resulting record is bit-identical to the serial estimator's —
+estimate, metered seconds, communication totals and diagnostics.  This
+module is the :func:`~repro.experiments.runner.run_trials` side of it:
+dispatch by exact estimator type, tracing, and the trial records.
 
-Bit-equivalence to the serial path is the hard contract, exactly as for the
-BFCE engine.  It holds because each trial keeps
-
-* its own seed stream — a ``default_rng(seed)`` consumed by the same
-  ``fresh_seeds``-shaped draws, in the same order, as the serial
-  :class:`~repro.rfid.reader.Reader` (plus, for ZOE, the estimator's own
-  ``default_rng(seed + 0x20E)`` Bernoulli stream);
-* its own ledger row, fed the identical message sequence (so
-  ``elapsed_seconds`` sums the same floats in the same order); and
-* its own adaptive state (ZOE's m re-planning, SRC's ×4/÷4 bound
-  corrections), updated by expressions copied from the serial estimators —
-
-while the batched kernels (:func:`~repro.rfid.hashing.geometric_occupancy_batch`,
-:func:`~repro.baselines.framedaloha.aloha_empty_counts_batch`) reproduce the
-serial hash values bit-for-bit.
-
-What batches, and why it is sound (see DESIGN.md §6 for the full matrix):
-
-* **LOF** — all ``T × rounds`` lottery frames are independent given their
-  seeds, so the whole run collapses to one occupancy-kernel call.
-* **ZOE** — the LOF rough phase batches as above; the single-slot frame
-  streams are per-trial ``Generator`` draws advanced in lockstep behind an
-  active-trial mask through the adaptive m re-planning loop.
-* **SRC** — the rough lottery frame batches; phase-2 rounds advance in
-  lockstep with an active mask, and a trial that trips a saturation retry
-  simply stays active for the next lockstep step (its retry frame runs
-  alongside the other trials' next rounds).
-
-Unsupported configurations — estimator subclasses (arbitrary overridden
-behaviour) or lottery frames wider than the 64-bit occupancy word — are
+Estimator subclasses (which may override any part of the protocol) are
 reported by :func:`baseline_batchable`; callers fall back to the serial
 per-trial path, which is always sound.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
-
 from ..obs import metrics as _metrics
 from ..obs.trace import event as _event, span as _span
-from ..rfid import _native
-from ..rfid.hashing import first_idle_from_occupancy, geometric_occupancy_batch
 from ..rfid.tags import TagPopulation
-from ..timing.accounting import BatchLedger
-from ..timing.c1g2 import C1G2Timing, DEFAULT_TIMING
-from ..sketch.hll import hll_estimate, hll_registers, relative_error_bound
-from .base import CardinalityEstimator, EstimationResult
-from .framedaloha import aloha_empty_counts_batch
-from .hll import HLL, HLL_PARAMS_BITS, HLL_RANK_BITS
-from .lof import FM_PHI, LOF
-from .src_protocol import _MAX_ROUND_RETRIES, SRC, SRC_OPTIMAL_LOAD, src_round_count
-from .zoe import (
-    _BATCH,
-    _MAX_FRAMES,
-    ZOE,
-    _clamped_idle_fraction,
-    zoe_optimal_load,
-    zoe_required_frames,
-)
+from .base import CardinalityEstimator
+from .hll import HLL
+from .lof import LOF
+from .src_protocol import SRC
+from .zoe import ZOE
 
-__all__ = [
-    "baseline_batchable",
-    "run_lof_batch",
-    "run_zoe_batch",
-    "run_src_batch",
-    "run_hll_batch",
-    "run_baseline_trials_batched",
-]
+__all__ = ["baseline_batchable", "run_baseline_trials_batched"]
 
-#: Widest lottery frame the uint64 occupancy kernel can represent.
-_MAX_OCCUPANCY_BITS = 64
-
-#: Per-core event budget (frames × population) of one streamed occupancy
-#: block — matches the frame engine's cache-resident chunk size.  The
-#: threaded kernel parallelises over the frames within a block, so the
-#: effective block budget scales by the kernel thread count: every core
-#: works a single-core-sized slice while the block feeds all of them.
-_STREAM_EVENT_BUDGET = 300_000
+#: Exact estimator type -> its batched tier, called as
+#: ``runner(estimator, population, seeds)``.  Looked up at call time.
+_BATCH_RUNNERS = {cls: cls.estimate_many for cls in (LOF, ZOE, SRC, HLL)}
 
 
 def baseline_batchable(estimator: CardinalityEstimator) -> bool:
-    """Whether the lockstep engine can run ``estimator`` bit-identically.
+    """Whether the batched tier can run ``estimator`` bit-identically.
 
     Exact-type checks, not ``isinstance``: a subclass may override any part
-    of the protocol, which the lockstep replica cannot know about.  LOF and
-    SRC additionally need their lottery frames to fit the 64-bit occupancy
-    word (ZOE's internal rough LOF always uses the 32-slot default).
+    of the protocol, which the batched tier cannot know about.
     """
-    if type(estimator) is LOF:
-        return estimator.frame_slots <= _MAX_OCCUPANCY_BITS
-    if type(estimator) is ZOE:
-        return True
-    if type(estimator) is SRC:
-        return estimator.rough_slots <= _MAX_OCCUPANCY_BITS
-    if type(estimator) is HLL:
-        return True
-    return False
-
-
-def _fresh_seed(rng: np.random.Generator) -> np.uint64:
-    """One 32-bit seed, drawn exactly like ``Reader.fresh_seeds(1)[0]``."""
-    return rng.integers(0, 1 << 32, size=1, dtype=np.uint64)[0]
-
-
-def _lottery_first_idle(
-    population: TagPopulation,
-    rngs: Sequence[np.random.Generator],
-    rounds: int,
-    frame_slots: int,
-    ledger: BatchLedger,
-) -> np.ndarray:
-    """First-idle indices of ``rounds`` lottery frames per trial.
-
-    Draws each trial's round seeds from its own stream (in round order, as
-    serial LOF does), streams the ``T × rounds`` frames through the
-    occupancy kernel in cache-resident blocks (``_STREAM_EVENT_BUDGET``
-    events per core), meters the per-round seed broadcast + frame on all
-    trials, and returns the ``(T, rounds)`` float64 first-idle matrix.
-    Per-frame occupancies depend only on their own seed, so the block
-    size never changes a single output bit.
-    """
-    seed_matrix = np.empty((len(rngs), rounds), dtype=np.uint64)
-    for t, rng in enumerate(rngs):
-        for r in range(rounds):
-            seed_matrix[t, r] = _fresh_seed(rng)
-    flat_seeds = seed_matrix.ravel()
-    budget = _STREAM_EVENT_BUDGET * _native.effective_threads()
-    block = max(1, budget // max(1, population.size))
-    occupancy = np.empty(flat_seeds.size, dtype=np.uint64)
-    for lo in range(0, flat_seeds.size, block):
-        hi = min(lo + block, flat_seeds.size)
-        occupancy[lo:hi] = geometric_occupancy_batch(
-            population.tag_ids, flat_seeds[lo:hi], max_bits=frame_slots
-        )
-    first_idle = (
-        first_idle_from_occupancy(occupancy, frame_slots)
-        .reshape(len(rngs), rounds)
-        .astype(np.float64)
-    )
-    for _ in range(rounds):
-        ledger.record_downlink(32)
-        ledger.record_uplink(frame_slots)
-    return first_idle
-
-
-def _lof_n_hat(first_idle_row: np.ndarray) -> float:
-    """LOF's estimate from one trial's first-idle row (serial expression)."""
-    return float(2.0 ** first_idle_row.mean() / FM_PHI)
-
-
-# ----------------------------------------------------------------------
-# LOF
-# ----------------------------------------------------------------------
-def run_lof_batch(
-    estimator: LOF,
-    population: TagPopulation,
-    seeds: Sequence[int],
-    *,
-    timing: C1G2Timing = DEFAULT_TIMING,
-) -> list[EstimationResult]:
-    """All LOF trials via one batched occupancy pass; bit-identical to
-    ``[estimator.estimate(population, seed=s) for s in seeds]``."""
-    seed_list = [int(s) for s in seeds]
-    if not seed_list:
-        return []
-    rngs = [np.random.default_rng(s) for s in seed_list]
-    ledger = BatchLedger(len(seed_list), timing=timing)
-    first_idle = _lottery_first_idle(
-        population, rngs, estimator.rounds, estimator.frame_slots, ledger
-    )
-    return [
-        estimator._result(
-            _lof_n_hat(first_idle[t]),
-            ledger.totals(t),
-            rounds=estimator.rounds,
-            extra={"first_idle_mean": float(first_idle[t].mean())},
-        )
-        for t in range(len(seed_list))
-    ]
-
-
-# ----------------------------------------------------------------------
-# ZOE
-# ----------------------------------------------------------------------
-def run_zoe_batch(
-    estimator: ZOE,
-    population: TagPopulation,
-    seeds: Sequence[int],
-    *,
-    timing: C1G2Timing = DEFAULT_TIMING,
-) -> list[EstimationResult]:
-    """All ZOE trials in lockstep; bit-identical to the serial estimator.
-
-    The rough phase reuses the batched LOF lottery kernel; the single-slot
-    frame loop advances every still-active trial by one ≤ ``_BATCH``-frame
-    step per iteration, drawing each trial's Bernoulli outcomes from its own
-    ``default_rng(seed + 0x20E)`` stream and re-planning its frame target
-    ``m`` exactly as the serial adaptive loop does.
-    """
-    seed_list = [int(s) for s in seeds]
-    if not seed_list:
-        return []
-    trials = len(seed_list)
-    req = estimator.requirement
-    n_true = population.size
-    reader_rngs = [np.random.default_rng(s) for s in seed_list]
-    zoe_rngs = [np.random.default_rng(s + 0x20E) for s in seed_list]
-    ledger = BatchLedger(trials, timing=timing)
-
-    # ---- rough phase: batched LOF × rough_rounds (default 32-slot frames)
-    rough_lof = LOF(rounds=estimator.rough_rounds)
-    first_idle = _lottery_first_idle(
-        population, reader_rngs, rough_lof.rounds, rough_lof.frame_slots, ledger
-    )
-    n_rough = [max(_lof_n_hat(first_idle[t]), 1.0) for t in range(trials)]
-
-    # ---- persistence tuned per trial to the optimal load at its rough n
-    lam_star = zoe_optimal_load(req.eps)
-    d = req.d
-    q = [min(lam_star / n_rough[t], 1.0) for t in range(trials)]
-    m_target = [
-        zoe_required_frames(q[t] * n_rough[t], req.eps, d) for t in range(trials)
-    ]
-    idle = [0] * trials
-    frames = [0] * trials
-
-    # ---- lockstep single-slot frames with per-trial m re-evaluation
-    active = [t for t in range(trials) if frames[t] < m_target[t]]
-    while active:
-        index = np.array(active, dtype=np.int64)
-        batches = np.array(
-            [min(_BATCH, m_target[t] - frames[t]) for t in active], dtype=np.int64
-        )
-        # Each frame: 32-bit seed broadcast + one uplink bit-slot.
-        ledger.record_downlink(32, count=batches, index=index)
-        ledger.record_uplink(1, count=batches, index=index)
-        still: list[int] = []
-        for t, batch in zip(active, batches.tolist()):
-            responders = zoe_rngs[t].binomial(n_true, q[t], size=batch)
-            idle[t] += int((responders == 0).sum())
-            frames[t] += batch
-            z_bar = _clamped_idle_fraction(idle[t], frames[t])
-            believed_lam = -float(np.log(z_bar))
-            m_target[t] = max(frames[t], zoe_required_frames(believed_lam, req.eps, d))
-            if frames[t] < m_target[t] and frames[t] < _MAX_FRAMES:
-                still.append(t)
-        active = still
-
-    results: list[EstimationResult] = []
-    for t in range(trials):
-        z_bar = _clamped_idle_fraction(idle[t], frames[t])
-        n_hat = -float(np.log(z_bar)) / q[t]
-        results.append(
-            estimator._result(
-                n_hat,
-                ledger.totals(t),
-                rounds=frames[t],
-                extra={
-                    "n_rough": n_rough[t],
-                    "q": q[t],
-                    "frames": frames[t],
-                    "idle_fraction": idle[t] / frames[t],
-                },
-            )
-        )
-    return results
-
-
-# ----------------------------------------------------------------------
-# SRC
-# ----------------------------------------------------------------------
-def run_src_batch(
-    estimator: SRC,
-    population: TagPopulation,
-    seeds: Sequence[int],
-    *,
-    timing: C1G2Timing = DEFAULT_TIMING,
-) -> list[EstimationResult]:
-    """All SRC trials in lockstep; bit-identical to the serial estimator.
-
-    Phase 1 (rough lottery frame) batches through the occupancy kernel.
-    Phase 2 advances one balanced-frame attempt per active trial per
-    lockstep step through :func:`aloha_empty_counts_batch`; a trial whose
-    frame comes back starved/saturated applies the serial ×4/÷4 bound
-    correction and retries on the next step, so trials drift across rounds
-    while their per-trial traces stay exactly serial.
-    """
-    seed_list = [int(s) for s in seeds]
-    if not seed_list:
-        return []
-    trials = len(seed_list)
-    req = estimator.requirement
-    rngs = [np.random.default_rng(s) for s in seed_list]
-    ledger = BatchLedger(trials, timing=timing)
-
-    # ---- phase 1: one lottery frame per trial for a rough bound
-    rough_seeds = np.array([_fresh_seed(rng) for rng in rngs], dtype=np.uint64)
-    ledger.record_downlink(32)
-    occupancy = geometric_occupancy_batch(
-        population.tag_ids, rough_seeds, max_bits=estimator.rough_slots
-    )
-    ledger.record_uplink(estimator.rough_slots)
-    first_idle = first_idle_from_occupancy(occupancy, estimator.rough_slots)
-    n_working = [
-        max(2.0 ** float(first_idle[t]) / FM_PHI, 1.0) for t in range(trials)
-    ]
-
-    # ---- phase 2: m balanced rounds per trial, lockstep with retries
-    m = src_round_count(req.delta)
-    f = estimator.frame_size()
-    round_idx = [0] * trials
-    attempt = [0] * trials
-    total_frames = [0] * trials
-    estimates: list[list[float]] = [[] for _ in range(trials)]
-
-    active = list(range(trials))
-    while active:
-        index = np.array(active, dtype=np.int64)
-        rhos = np.array(
-            [float(min(1.0, SRC_OPTIMAL_LOAD * f / n_working[t])) for t in active],
-            dtype=np.float64,
-        )
-        # Broadcast: seed (32) + rho (32) + frame size (16) bits.
-        ledger.record_downlink(80, index=index)
-        frame_seeds = np.array([_fresh_seed(rngs[t]) for t in active], dtype=np.uint64)
-        empty_counts = aloha_empty_counts_batch(
-            population, frame_size=f, sampling_probs=rhos, seeds=frame_seeds
-        )
-        ledger.record_uplink(f, index=index)
-        still: list[int] = []
-        for i, t in enumerate(active):
-            total_frames[t] += 1
-            rho = float(rhos[i])
-            z = int(empty_counts[i]) / f
-            if z >= 1.0 - 0.5 / f:
-                # Starved (see serial SRC for the rho == 1 honesty case).
-                if rho < 1.0 and attempt[t] < _MAX_ROUND_RETRIES:
-                    n_working[t] = max(n_working[t] / 4.0, 1.0)
-                    attempt[t] += 1
-                    still.append(t)
-                    continue
-            elif z <= 0.5 / f:
-                # Saturated: bound far too low.
-                if attempt[t] < _MAX_ROUND_RETRIES:
-                    n_working[t] *= 4.0
-                    attempt[t] += 1
-                    still.append(t)
-                    continue
-            z_clamped = min(max(z, 0.5 / f), 1.0 - 0.5 / f)
-            estimates[t].append(-f * float(np.log(z_clamped)) / rho)
-            round_idx[t] += 1
-            attempt[t] = 0
-            if round_idx[t] < m:
-                still.append(t)
-        active = still
-
-    return [
-        estimator._result(
-            float(np.median(estimates[t])),
-            ledger.totals(t),
-            rounds=m,
-            extra={
-                "n_rough": n_working[t],
-                "frame_size": f,
-                "frames_run": total_frames[t],
-                "round_estimates": estimates[t],
-            },
-        )
-        for t in range(trials)
-    ]
-
-
-# ----------------------------------------------------------------------
-# trial-runner adapter
-# ----------------------------------------------------------------------
-# ----------------------------------------------------------------------
-# HLL
-# ----------------------------------------------------------------------
-def run_hll_batch(
-    estimator: HLL,
-    population: TagPopulation,
-    seeds: Sequence[int],
-    *,
-    timing: C1G2Timing = DEFAULT_TIMING,
-) -> list[EstimationResult]:
-    """All HLL trials through the fused register kernel; bit-identical to
-    ``[estimator.estimate(population, seed=s) for s in seeds]``.
-
-    HLL is single-round with a fixed two-message exchange, so lockstep is
-    trivial: every trial's population-sized work is already one kernel call
-    (:func:`repro.sketch.hll.hll_registers`), and the array ledger records
-    the identical (downlink, uplink) message pair for every row.
-    """
-    seed_list = [int(s) for s in seeds]
-    if not seed_list:
-        return []
-    ledger = BatchLedger(len(seed_list), timing=timing)
-    ledger.record_downlink(HLL_PARAMS_BITS)
-    ledger.record_uplink(estimator.m * HLL_RANK_BITS)
-    ids = population.tag_ids
-    bound = relative_error_bound(estimator.p)
-    results = []
-    for t, s in enumerate(seed_list):
-        hash_seed = int(_fresh_seed(np.random.default_rng(s)))
-        n_hat = hll_estimate(hll_registers(ids, hash_seed, estimator.p))
-        results.append(
-            estimator._result(
-                n_hat,
-                ledger.totals(t),
-                rounds=1,
-                extra={"p": estimator.p, "m": estimator.m, "error_bound": bound},
-            )
-        )
-    return results
-
-
-_BATCH_RUNNERS = {
-    LOF: run_lof_batch,
-    ZOE: run_zoe_batch,
-    SRC: run_src_batch,
-    HLL: run_hll_batch,
-}
+    return type(estimator) in _BATCH_RUNNERS
 
 
 def run_baseline_trials_batched(
@@ -452,7 +56,7 @@ def run_baseline_trials_batched(
     record carries ``extra["engine"] = "batched"`` so callers (and the sweep
     cache key) can tell which engine actually ran.
     """
-    from ..experiments.runner import TrialRecord  # local import: runner routes here
+    from ..experiments.runner import baseline_trial_records  # runner routes here
 
     if trials <= 0:
         raise ValueError("trials must be positive")
@@ -478,20 +82,12 @@ def run_baseline_trials_batched(
     _metrics.inc(
         "ledger.elapsed_seconds_total", sum(r.elapsed_seconds for r in results)
     )
-    n_true = population.size
-    req = estimator.requirement
-    return [
-        TrialRecord(
-            estimator=result.estimator,
-            n_true=n_true,
-            n_hat=result.n_hat,
-            error=result.relative_error(n_true),
-            seconds=result.elapsed_seconds,
-            seed=base_seed + t,
-            eps=req.eps,
-            delta=req.delta,
-            distribution=distribution,
-            extra={**result.extra, "engine": "batched"},
-        )
-        for t, result in enumerate(results)
-    ]
+    return baseline_trial_records(
+        results,
+        n_true=population.size,
+        base_seed=base_seed,
+        eps=estimator.requirement.eps,
+        delta=estimator.requirement.delta,
+        distribution=distribution,
+        engine="batched",
+    )

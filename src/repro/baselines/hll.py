@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from ..core.accuracy import AccuracyRequirement
 from ..rfid.reader import Reader
+from ..rfid.tags import TagPopulation
 from ..sketch.hll import DEFAULT_P, hll_estimate, hll_registers, relative_error_bound
 from .base import CardinalityEstimator, EstimationResult
 
@@ -64,6 +65,14 @@ class HLL(CardinalityEstimator):
     @property
     def m(self) -> int:
         return 1 << self.p
+
+    def estimate_many(self, population: TagPopulation, seeds) -> list[EstimationResult]:
+        """Estimate once per reader seed.
+
+        HLL has no frame to batch: one round is one fixed message pair and
+        one fused register-kernel call, so the batched tier is this loop.
+        """
+        return [self.estimate(population, seed=int(s)) for s in seeds]
 
     def estimate_with_reader(self, reader: Reader) -> EstimationResult:
         seed = int(reader.fresh_seeds(1)[0])

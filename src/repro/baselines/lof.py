@@ -16,12 +16,9 @@ ZOE's rough-estimation input (Sec. V-C).
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..core.accuracy import AccuracyRequirement
-from ..rfid.hashing import geometric_hash
-from ..rfid.reader import Reader
-from .base import CardinalityEstimator, EstimationResult
+from .base import EstimationResult
+from .lockstep import LockstepEstimator, check_lottery_slots, lottery_frames
 
 __all__ = ["LOF", "FM_PHI"]
 
@@ -31,7 +28,7 @@ FM_PHI: float = 0.77351
 _PHASE = "lof"
 
 
-class LOF(CardinalityEstimator):
+class LOF(LockstepEstimator):
     """Lottery-Frame rough estimator.
 
     Parameters
@@ -39,7 +36,8 @@ class LOF(CardinalityEstimator):
     rounds:
         Number of independent lottery frames to average (paper setup: 10).
     frame_slots:
-        Frame length ``L``; 32 slots cover cardinalities up to ~2³²·φ.
+        Frame length ``L`` in ``(1, 64]``; 32 slots cover cardinalities up
+        to ~2³²·φ.
     requirement:
         Unused by LOF itself (it offers no (ε, δ) tuning) but kept for the
         uniform estimator interface.
@@ -56,27 +54,17 @@ class LOF(CardinalityEstimator):
         super().__init__(requirement)
         if rounds <= 0:
             raise ValueError("rounds must be positive")
-        if frame_slots <= 1:
-            raise ValueError("frame_slots must be > 1")
         self.rounds = rounds
-        self.frame_slots = frame_slots
+        self.frame_slots = check_lottery_slots("frame_slots", frame_slots)
 
-    def estimate_with_reader(self, reader: Reader) -> EstimationResult:
-        ids = reader.population.tag_ids
-        first_idle = np.empty(self.rounds, dtype=np.float64)
-        for r in range(self.rounds):
-            seed = int(reader.fresh_seeds(1)[0])
-            reader.broadcast_bits(32, phase=_PHASE, label="seed")
-            buckets = geometric_hash(ids, seed, max_bits=self.frame_slots)
-            busy = np.zeros(self.frame_slots, dtype=bool)
-            busy[buckets] = True
-            reader.sense_slots(busy, phase=_PHASE, label="lottery-frame")
-            idle = ~busy
-            first_idle[r] = float(np.argmax(idle)) if idle.any() else float(self.frame_slots)
-        n_hat = float(2.0 ** first_idle.mean() / FM_PHI)
-        return self._result(
-            n_hat,
-            reader.ledger,
-            rounds=self.rounds,
-            extra={"first_idle_mean": float(first_idle.mean())},
-        )
+    def _drive(self, readers: list, frames) -> list[EstimationResult]:
+        first_idle = lottery_frames(readers, frames, self.rounds, self.frame_slots, _PHASE)
+        return [
+            self._result(
+                float(2.0 ** row.mean() / FM_PHI),
+                reader.ledger,
+                rounds=self.rounds,
+                extra={"first_idle_mean": float(row.mean())},
+            )
+            for reader, row in zip(readers, first_idle)
+        ]

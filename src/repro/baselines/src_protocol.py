@@ -38,10 +38,8 @@ import numpy as np
 from scipy.stats import binom
 
 from ..core.accuracy import AccuracyRequirement
-from ..rfid.hashing import geometric_hash
-from ..rfid.reader import Reader
-from .base import CardinalityEstimator, EstimationResult
-from .framedaloha import run_aloha_frame
+from .base import EstimationResult
+from .lockstep import LockstepEstimator, check_lottery_slots, lottery_frames
 from .lof import FM_PHI
 
 __all__ = ["SRC", "src_round_count", "SRC_OPTIMAL_LOAD", "SRC_FRAME_CONSTANT"]
@@ -76,7 +74,7 @@ def src_round_count(delta: float, max_rounds: int = 99) -> int:
     return max_rounds
 
 
-class SRC(CardinalityEstimator):
+class SRC(LockstepEstimator):
     """Simple RFID Counting with median-of-rounds amplification.
 
     Parameters
@@ -85,7 +83,7 @@ class SRC(CardinalityEstimator):
         The (ε, δ) accuracy target; drives both the per-round frame size
         (∝ 1/ε²) and the round count m(δ).
     rough_slots:
-        Length of the phase-1 lottery frame.
+        Length of the phase-1 lottery frame, in ``(1, 64]``.
     """
 
     name = "SRC"
@@ -96,76 +94,80 @@ class SRC(CardinalityEstimator):
         rough_slots: int = 32,
     ) -> None:
         super().__init__(requirement)
-        if rough_slots <= 1:
-            raise ValueError("rough_slots must be > 1")
-        self.rough_slots = rough_slots
+        self.rough_slots = check_lottery_slots("rough_slots", rough_slots)
 
     # ------------------------------------------------------------------
     def frame_size(self) -> int:
         """Per-round frame size f = ⌈C_SRC/ε²⌉."""
         return int(np.ceil(SRC_FRAME_CONSTANT / self.requirement.eps**2))
 
-    def estimate_with_reader(self, reader: Reader) -> EstimationResult:
+    def _drive(self, readers: list, frames) -> list[EstimationResult]:
+        """Rough frame, then m balanced rounds per trial, in lockstep.
+
+        Each lockstep step airs one balanced-frame attempt per active trial;
+        a trial whose frame comes back starved or saturated corrects its
+        bound and retries on the next step, so trials drift across rounds
+        while each trial's trace stays exactly serial.
+        """
         req = self.requirement
-        ids = reader.population.tag_ids
+        trials = len(readers)
 
         # ---- phase 1: one lottery frame for a rough bound
-        seed = int(reader.fresh_seeds(1)[0])
-        reader.broadcast_bits(32, phase=_PHASE_ROUGH, label="seed")
-        buckets = geometric_hash(ids, seed, max_bits=self.rough_slots)
-        busy = np.zeros(self.rough_slots, dtype=bool)
-        if ids.size:
-            busy[buckets] = True
-        reader.sense_slots(busy, phase=_PHASE_ROUGH, label="lottery-frame")
-        idle = ~busy
-        first_idle = float(np.argmax(idle)) if idle.any() else float(self.rough_slots)
-        n_working = max(2.0**first_idle / FM_PHI, 1.0)
+        first_idle = lottery_frames(readers, frames, 1, self.rough_slots, _PHASE_ROUGH)
+        n_working = [max(2.0 ** float(row[0]) / FM_PHI, 1.0) for row in first_idle]
 
         # ---- phase 2: m balanced rounds, median-combined
         m = src_round_count(req.delta)
         f = self.frame_size()
-        estimates: list[float] = []
-        total_frames = 0
-        for round_idx in range(m):
-            for attempt in range(_MAX_ROUND_RETRIES + 1):
-                rho = float(min(1.0, SRC_OPTIMAL_LOAD * f / n_working))
+        attempt = [0] * trials
+        total_frames = [0] * trials
+        estimates: list[list[float]] = [[] for _ in range(trials)]
+        active = list(range(trials))
+        while active:
+            rhos = [float(min(1.0, SRC_OPTIMAL_LOAD * f / n_working[t])) for t in active]
+            for t in active:
                 # Broadcast: seed (32) + rho (32) + frame size (16) bits.
-                reader.broadcast_bits(80, phase=_PHASE_MAIN, label="round-params")
-                frame_seed = int(reader.fresh_seeds(1)[0])
-                frame = run_aloha_frame(
-                    reader.population,
-                    frame_size=f,
-                    sampling_prob=rho,
-                    seed=frame_seed,
-                )
-                reader.sense_slots(frame.busy, phase=_PHASE_MAIN, label="frame")
-                total_frames += 1
-                z = frame.empty_fraction
+                readers[t].broadcast_bits(80, phase=_PHASE_MAIN, label="round-params")
+            empty = frames.aloha([readers[t] for t in active], f, rhos)
+            still: list[int] = []
+            for t, rho, empty_slots in zip(active, rhos, empty):
+                readers[t].ledger.record_uplink(f, phase=_PHASE_MAIN, label="frame")
+                total_frames[t] += 1
+                z = int(empty_slots) / f
                 if z >= 1.0 - 0.5 / f:
                     # Starved: nobody responded → working bound far too high
                     # (unless ρ is already 1, in which case the range really
                     # is almost empty and z̄≈1 is the honest observation).
-                    if rho < 1.0 and attempt < _MAX_ROUND_RETRIES:
-                        n_working = max(n_working / 4.0, 1.0)
+                    if rho < 1.0 and attempt[t] < _MAX_ROUND_RETRIES:
+                        n_working[t] = max(n_working[t] / 4.0, 1.0)
+                        attempt[t] += 1
+                        still.append(t)
                         continue
                 elif z <= 0.5 / f:
                     # Saturated: bound far too low.
-                    if attempt < _MAX_ROUND_RETRIES:
-                        n_working *= 4.0
+                    if attempt[t] < _MAX_ROUND_RETRIES:
+                        n_working[t] *= 4.0
+                        attempt[t] += 1
+                        still.append(t)
                         continue
                 z_clamped = min(max(z, 0.5 / f), 1.0 - 0.5 / f)
-                est = -f * float(np.log(z_clamped)) / rho
-                estimates.append(est)
-                break
-        n_hat = float(np.median(estimates))
-        return self._result(
-            n_hat,
-            reader.ledger,
-            rounds=m,
-            extra={
-                "n_rough": n_working,
-                "frame_size": f,
-                "frames_run": total_frames,
-                "round_estimates": estimates,
-            },
-        )
+                estimates[t].append(-f * float(np.log(z_clamped)) / rho)
+                attempt[t] = 0
+                if len(estimates[t]) < m:
+                    still.append(t)
+            active = still
+
+        return [
+            self._result(
+                float(np.median(estimates[t])),
+                reader.ledger,
+                rounds=m,
+                extra={
+                    "n_rough": n_working[t],
+                    "frame_size": f,
+                    "frames_run": total_frames[t],
+                    "round_estimates": estimates[t],
+                },
+            )
+            for t, reader in enumerate(readers)
+        ]

@@ -36,13 +36,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.accuracy import AccuracyRequirement
-from ..rfid.reader import Reader
-from .base import CardinalityEstimator, EstimationResult
+from .base import EstimationResult
+from .lockstep import LockstepEstimator
 from .lof import LOF
 
 __all__ = ["ZOE", "zoe_optimal_load", "zoe_required_frames"]
 
-_PHASE_ROUGH = "zoe-rough"
 _PHASE_MAIN = "zoe-frames"
 
 #: σ(x)_max in the paper's frame-count formula.
@@ -85,7 +84,7 @@ def zoe_required_frames(lmbda: float, eps: float, d: float) -> int:
     return int(min(max(m, 1), _MAX_FRAMES))
 
 
-class ZOE(CardinalityEstimator):
+class ZOE(LockstepEstimator):
     """Zero-One Estimator with an LOF rough phase.
 
     Parameters
@@ -108,21 +107,25 @@ class ZOE(CardinalityEstimator):
             raise ValueError("rough_rounds must be positive")
         self.rough_rounds = rough_rounds
 
-    def estimate_with_reader(self, reader: Reader) -> EstimationResult:
-        req = self.requirement
-        n_true = reader.population.size
-        rng = np.random.default_rng(reader.seed + 0x20E)
+    def _drive(self, readers: list, frames) -> list[EstimationResult]:
+        # ---- rough phase: LOF × rough_rounds, lockstep over the frame source
+        rough = LOF(rounds=self.rough_rounds)._drive(readers, frames)
+        # ---- the single-slot frames draw from each trial's own stream
+        return [
+            self._single_slot_frames(reader, max(result.n_hat, 1.0))
+            for reader, result in zip(readers, rough)
+        ]
 
-        # ---- rough phase: LOF × rough_rounds (shares the reader's ledger)
-        rough = LOF(rounds=self.rough_rounds).estimate_with_reader(reader)
-        n_rough = max(rough.n_hat, 1.0)
+    def _single_slot_frames(self, reader, n_rough: float) -> EstimationResult:
+        """One trial's single-slot frames, with periodic m re-evaluation."""
+        req = self.requirement
+        rng = np.random.default_rng(reader.seed + 0x20E)
 
         # ---- persistence tuned to the optimal load at the rough estimate
         lam_star = zoe_optimal_load(req.eps)
         q = min(lam_star / n_rough, 1.0)
         d = req.d
 
-        # ---- single-slot frames with periodic m re-evaluation
         believed_lam = q * n_rough
         m_target = zoe_required_frames(believed_lam, req.eps, d)
         idle = 0
@@ -133,7 +136,7 @@ class ZOE(CardinalityEstimator):
             reader.ledger.record_downlink(32, phase=_PHASE_MAIN, label="seed", count=batch)
             reader.ledger.record_uplink(1, phase=_PHASE_MAIN, label="slot", count=batch)
             # Slot outcomes: idle iff Binomial(n, q) == 0 (ideal hashing).
-            responders = rng.binomial(n_true, q, size=batch)
+            responders = rng.binomial(reader.n, q, size=batch)
             idle += int((responders == 0).sum())
             frames += batch
             # Update believed λ from the data seen so far and re-plan m.

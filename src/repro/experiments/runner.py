@@ -15,6 +15,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ..baselines.base import CardinalityEstimator
+from ..baselines.lof import LOF
+from ..baselines.src_protocol import SRC
+from ..baselines.zoe import ZOE
 from ..core.accuracy import AccuracyRequirement
 from ..core.bfce import BFCE
 from ..core.config import BFCEConfig, DEFAULT_CONFIG
@@ -28,6 +31,7 @@ from .stats import ErrorSummary
 __all__ = [
     "TrialRecord",
     "run_trials",
+    "baseline_trial_records",
     "bfce_trial_records",
     "run_bfce_trials",
     "run_bfce_trials_analytic",
@@ -55,6 +59,34 @@ class TrialRecord:
     def within_eps(self) -> bool:
         """Whether this trial met the ε-interval."""
         return self.error <= self.eps
+
+
+def baseline_trial_records(
+    results,
+    *,
+    n_true: int,
+    base_seed: int,
+    eps: float,
+    delta: float,
+    distribution: str,
+    engine: str,
+) -> list[TrialRecord]:
+    """One :class:`TrialRecord` per baseline result of seeds ``base_seed + t``."""
+    return [
+        TrialRecord(
+            estimator=result.estimator,
+            n_true=n_true,
+            n_hat=result.n_hat,
+            error=result.relative_error(n_true),
+            seconds=result.elapsed_seconds,
+            seed=base_seed + t,
+            eps=eps,
+            delta=delta,
+            distribution=distribution,
+            extra={**result.extra, "engine": engine},
+        )
+        for t, result in enumerate(results)
+    ]
 
 
 def bfce_trial_records(
@@ -235,37 +267,45 @@ def run_trials(
         cardinality ``n``.
     engine:
         The engine tier: ``"serial"`` runs one full protocol per trial,
-        ``"batched"`` executes all trials through the lockstep baseline
-        engine (:mod:`repro.baselines.batch`), and ``"analytic"`` samples
-        each frame's sufficient statistic from its exact distribution
-        (:mod:`repro.baselines.analytic`), with per-trial cost independent
-        of n.  ``"auto"`` (default) picks the batched engine whenever the
-        estimator supports it.  Serial and batched are bit-identical;
-        analytic is exact-in-distribution only (DESIGN.md §6) and is never
-        auto-selected.  Configurations the batch engine cannot replicate
-        (estimator subclasses, >64-slot lottery frames) fall back to the
-        serial path, which is always sound, while the analytic engine
-        raises for unsupported estimators (serial needs a real population).
-        ``extra["engine"]`` on each record names the engine that actually
-        ran, and the fallback is counted (``engine.fallback``) and surfaced
-        as an :class:`~repro.obs.EngineFallbackWarning` so throughput
-        surprises are diagnosable.
+        ``"batched"`` runs all trials through the estimator's lockstep
+        driver over batched frame kernels (``estimate_many``, dispatched
+        by :mod:`repro.baselines.batch`), and ``"analytic"`` samples each
+        frame's sufficient statistic from its exact distribution
+        (``estimate_analytic``, LOF/ZOE/SRC only), with per-trial cost
+        independent of n.  ``"auto"`` (default) picks the batched engine
+        whenever the estimator supports it.  Serial and batched are
+        bit-identical; analytic is exact-in-distribution only (DESIGN.md §6)
+        and is never auto-selected.  Estimator subclasses, which may
+        override any protocol step, fall back to the serial path, which is
+        always sound, while the analytic engine raises for them (serial
+        needs a real population).  ``extra["engine"]`` on each record names
+        the engine that actually ran, and the fallback is counted
+        (``engine.fallback``) and surfaced as an
+        :class:`~repro.obs.EngineFallbackWarning` so throughput surprises
+        are diagnosable.
     """
     if engine not in ("auto", "batched", "serial", "analytic"):
         raise ValueError(
             f"engine must be 'auto', 'batched', 'serial' or 'analytic', got {engine!r}"
         )
+    req = estimator.requirement
+    common = dict(
+        base_seed=base_seed, eps=req.eps, delta=req.delta, distribution=distribution
+    )
     if engine == "analytic":
-        from ..baselines.analytic import run_baseline_trials_analytic
-
         _metrics.inc("engine.select.analytic")
-        return run_baseline_trials_analytic(
-            estimator,
-            population,
-            trials=trials,
-            base_seed=base_seed,
-            distribution=distribution,
-        )
+        if trials <= 0:
+            raise ValueError("trials must be positive")
+        if type(estimator) not in (LOF, ZOE, SRC):
+            raise ValueError(
+                f"{type(estimator).__name__} is not supported by the analytic "
+                "engine; use the serial engine"
+            )
+        n = population.size if isinstance(population, TagPopulation) else int(population)
+        results = [
+            estimator.estimate_analytic(n, seed=base_seed + t) for t in range(trials)
+        ]
+        return baseline_trial_records(results, n_true=n, engine="analytic", **common)
     if not isinstance(population, TagPopulation):
         raise TypeError(
             "a plain cardinality requires engine='analytic'; event engines "
@@ -290,29 +330,16 @@ def run_trials(
             reason=f"{type(estimator).__name__} is not batchable",
         )
     _metrics.inc("engine.select.serial")
-    n_true = population.size
-    req = estimator.requirement
-    records: list[TrialRecord] = []
+    results = []
     for t in range(trials):
         with _span("trial", engine="serial", estimator=type(estimator).__name__) as sp:
             result = estimator.estimate(population, seed=base_seed + t)
             if sp:
                 sp.set(n_hat=result.n_hat, elapsed_seconds=result.elapsed_seconds)
-        records.append(
-            TrialRecord(
-                estimator=result.estimator,
-                n_true=n_true,
-                n_hat=result.n_hat,
-                error=result.relative_error(n_true),
-                seconds=result.elapsed_seconds,
-                seed=base_seed + t,
-                eps=req.eps,
-                delta=req.delta,
-                distribution=distribution,
-                extra={**result.extra, "engine": "serial"},
-            )
-        )
-    return records
+        results.append(result)
+    return baseline_trial_records(
+        results, n_true=population.size, engine="serial", **common
+    )
 
 
 @dataclass(frozen=True)

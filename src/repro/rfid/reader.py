@@ -61,6 +61,11 @@ class Reader:
         self.ledger = TimeLedger(timing=self.timing)
         self._rng = np.random.default_rng(self.seed)
 
+    @property
+    def n(self) -> int:
+        """Tags in range (the cardinality an analytic reader is built with)."""
+        return self.population.size
+
     # ------------------------------------------------------------------
     # air interface
     # ------------------------------------------------------------------

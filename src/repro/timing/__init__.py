@@ -7,7 +7,7 @@ from .c1g2 import (
     READER_TO_TAG_US_PER_BIT,
     TAG_TO_READER_US_PER_BIT,
 )
-from .accounting import BatchLedger, LedgerTotals, Message, PhaseBreakdown, TimeLedger
+from .accounting import Message, PhaseBreakdown, TimeLedger
 from .energy import EnergyModel, EnergyReport
 from .link_budget import FAST_PROFILE, PAPER_PROFILE, SLOW_PROFILE, LinkProfile
 
@@ -17,8 +17,6 @@ __all__ = [
     "INTERVAL_US",
     "READER_TO_TAG_US_PER_BIT",
     "TAG_TO_READER_US_PER_BIT",
-    "BatchLedger",
-    "LedgerTotals",
     "Message",
     "PhaseBreakdown",
     "TimeLedger",

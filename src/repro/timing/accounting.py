@@ -25,11 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-import numpy as np
-
 from .c1g2 import C1G2Timing, DEFAULT_TIMING
 
-__all__ = ["Message", "TimeLedger", "PhaseBreakdown", "BatchLedger", "LedgerTotals"]
+__all__ = ["Message", "TimeLedger", "PhaseBreakdown"]
 
 
 @dataclass(frozen=True)
@@ -178,104 +176,3 @@ class TimeLedger:
 
     def __len__(self) -> int:
         return len(self.messages)
-
-
-@dataclass(frozen=True)
-class LedgerTotals:
-    """Finalised totals of one trial — the read-only face of a ledger.
-
-    Implements exactly the accessor triple
-    (:meth:`total_seconds`, :meth:`downlink_bits`, :meth:`uplink_slots`)
-    that :meth:`repro.baselines.base.CardinalityEstimator._result` consumes,
-    so batched engines can hand per-trial totals to the unchanged
-    :class:`~repro.baselines.base.EstimationResult` assembly path.
-    """
-
-    seconds: float
-    down_bits: int
-    up_slots: int
-
-    def total_seconds(self) -> float:
-        return self.seconds
-
-    def downlink_bits(self) -> int:
-        return self.down_bits
-
-    def uplink_slots(self) -> int:
-        return self.up_slots
-
-
-class BatchLedger:
-    """Array-backed time accounting for many trials advanced in lockstep.
-
-    A :class:`TimeLedger` keeps one Python :class:`Message` object per
-    record; for a batched engine running thousands of lockstep rounds that
-    object churn (and the final per-message summation) dominates the
-    bookkeeping cost.  ``BatchLedger`` instead accumulates per-trial totals
-    directly into NumPy arrays: one ``record_*`` call prices a message once
-    and adds it to every addressed trial's row.
-
-    Equivalence contract: a trial's :meth:`totals` are bit-identical to a
-    serial :class:`TimeLedger` fed the same message sequence — each message
-    costs ``count × timing.{downlink,uplink}_s(bits)`` (the same float
-    product as :meth:`Message.cost_seconds`) and is added to the trial's
-    running float64 total in record order, which is exactly the left-to-right
-    summation of :meth:`TimeLedger.total_seconds`.
-
-    Parameters
-    ----------
-    trials:
-        Number of lockstep trials tracked.
-    timing:
-        The C1G2 timing model used to price messages.
-    """
-
-    def __init__(self, trials: int, timing: C1G2Timing = DEFAULT_TIMING) -> None:
-        if trials <= 0:
-            raise ValueError("trials must be positive")
-        self.trials = trials
-        self.timing = timing
-        self.elapsed = np.zeros(trials, dtype=np.float64)
-        self.down_bits = np.zeros(trials, dtype=np.int64)
-        self.up_slots = np.zeros(trials, dtype=np.int64)
-        self.message_counts = np.zeros(trials, dtype=np.int64)
-
-    # ------------------------------------------------------------------
-    # recording
-    # ------------------------------------------------------------------
-    def _record(self, unit_cost: float, bits: int, count, index, bits_array) -> None:
-        if index is None:
-            index = slice(None)
-        counts = np.asarray(count, dtype=np.int64)
-        if counts.size and counts.min() < 1:
-            raise ValueError("count must be at least 1")
-        if bits < 0:
-            raise ValueError("bits must be non-negative")
-        # fl(count · unit_cost) per trial — identical to Message.cost_seconds.
-        self.elapsed[index] += counts * unit_cost
-        bits_array[index] += counts * bits
-        self.message_counts[index] += counts
-
-    def record_downlink(self, bits: int, *, count=1, index=None) -> None:
-        """Record ``count`` reader→tag broadcasts of ``bits`` bits each.
-
-        ``index`` selects the addressed trials (``None`` = all; otherwise an
-        array of **unique** trial indices, with ``count`` scalar or aligned
-        per-trial counts).
-        """
-        self._record(self.timing.downlink_s(bits), bits, count, index, self.down_bits)
-
-    def record_uplink(self, bit_slots: int, *, count=1, index=None) -> None:
-        """Record ``count`` tag→reader frames of ``bit_slots`` slots each."""
-        self._record(self.timing.uplink_s(bit_slots), bit_slots, count, index, self.up_slots)
-
-    # ------------------------------------------------------------------
-    # finalisation
-    # ------------------------------------------------------------------
-    def totals(self, trial: int) -> LedgerTotals:
-        """One trial's finalised, TimeLedger-compatible totals."""
-        return LedgerTotals(
-            seconds=float(self.elapsed[trial]),
-            down_bits=int(self.down_bits[trial]),
-            up_slots=int(self.up_slots[trial]),
-        )

@@ -1,39 +1,25 @@
 """Equivalence tests for the lockstep batched baseline engine.
 
-:mod:`repro.baselines.batch` advances every trial of LOF/ZOE/SRC in
-lockstep through the batched occupancy / ALOHA kernels; its contract is
+``estimate_many`` advances every trial of LOF/ZOE/SRC in lockstep
+through the batched occupancy / ALOHA kernels; its contract is
 that each resulting :class:`~repro.baselines.base.EstimationResult` is
 *bit-identical* — estimate, metered seconds, communication totals and
 diagnostics — to running the serial estimator once per seed.  These tests
 pin that contract across population sizes (including the n=1 and
 trials=1 edges), all three tagID distributions, the ``run_trials``
-dispatch, and the serial fallback for configurations the engine cannot
-replicate.
+dispatch, and the serial fallback for estimator subclasses.
 """
 
 import numpy as np
 import pytest
 
 from repro.baselines import LOF, SRC, ZOE
-from repro.baselines.batch import (
-    baseline_batchable,
-    run_baseline_trials_batched,
-    run_lof_batch,
-    run_src_batch,
-    run_zoe_batch,
-)
+from repro.baselines.batch import baseline_batchable, run_baseline_trials_batched
 from repro.core.accuracy import AccuracyRequirement
 from repro.experiments.runner import run_trials
 from repro.experiments.workloads import population
 from repro.rfid.ids import uniform_ids
 from repro.rfid.tags import TagPopulation
-
-_BATCH_RUNNERS = {
-    "LOF": run_lof_batch,
-    "ZOE": run_zoe_batch,
-    "SRC": run_src_batch,
-}
-
 
 def _make(name):
     req = AccuracyRequirement(0.1, 0.1)
@@ -41,7 +27,7 @@ def _make(name):
 
 
 def _assert_results_identical(estimator, pop, seeds):
-    batched = _BATCH_RUNNERS[estimator.name](estimator, pop, seeds)
+    batched = estimator.estimate_many(pop, seeds)
     for seed, got in zip(seeds, batched):
         ref = estimator.estimate(pop, seed=seed)
         assert got.n_hat == ref.n_hat, f"n_hat differs at seed {seed}"
@@ -85,7 +71,7 @@ class TestBaselineBatchEquivalence:
     @pytest.mark.parametrize("name", ["LOF", "ZOE", "SRC"])
     def test_empty_seed_list(self, name):
         pop = TagPopulation(uniform_ids(100, seed=5))
-        assert _BATCH_RUNNERS[name](_make(name), pop, []) == []
+        assert _make(name).estimate_many(pop, []) == []
 
 
 class TestRunTrialsDispatch:
@@ -115,9 +101,12 @@ class TestRunTrialsDispatch:
             run_trials(LOF(), pop, trials=1, engine="warp")
 
     def test_adapter_rejects_unbatchable(self):
+        class TweakedLOF(LOF):
+            pass
+
         pop = TagPopulation(uniform_ids(100, seed=8))
         with pytest.raises(ValueError, match="not batchable"):
-            run_baseline_trials_batched(LOF(frame_slots=128), pop, trials=2)
+            run_baseline_trials_batched(TweakedLOF(), pop, trials=2)
 
     def test_adapter_rejects_nonpositive_trials(self):
         pop = TagPopulation(uniform_ids(100, seed=8))
@@ -126,9 +115,16 @@ class TestRunTrialsDispatch:
 
 
 class TestSerialFallback:
-    def test_wide_lottery_frame_is_not_batchable(self):
-        assert not baseline_batchable(LOF(frame_slots=128))
-        assert not baseline_batchable(SRC(rough_slots=128))
+    def test_wide_lottery_frame_is_rejected(self):
+        """Lottery frames wider than the 64-bit occupancy word are refused
+        at construction, so every exact-type instance is batchable."""
+        for slots in (65, 128):
+            with pytest.raises(ValueError, match="frame_slots"):
+                LOF(frame_slots=slots)
+            with pytest.raises(ValueError, match="rough_slots"):
+                SRC(rough_slots=slots)
+        assert baseline_batchable(LOF(frame_slots=64))
+        assert baseline_batchable(SRC(rough_slots=64))
         assert baseline_batchable(LOF())
         assert baseline_batchable(ZOE())
         assert baseline_batchable(SRC())

@@ -421,13 +421,12 @@ class TestNumpyFallbackEndToEnd:
         """The pure-NumPy batch engine must stay serial-identical even on
         hosts where the C kernels normally mask it."""
         from repro.baselines import SRC, ZOE
-        from repro.baselines.batch import run_src_batch, run_zoe_batch
         from repro.core.accuracy import AccuracyRequirement
 
         pop = TagPopulation(uniform_ids(8_000, seed=7))
         req = AccuracyRequirement(0.1, 0.1)
-        for est, runner in ((ZOE(req), run_zoe_batch), (SRC(req), run_src_batch)):
-            batched = runner(est, pop, [1, 2])
+        for est in (ZOE(req), SRC(req)):
+            batched = est.estimate_many(pop, [1, 2])
             for seed, got in zip([1, 2], batched):
                 ref = est.estimate(pop, seed=seed)
                 assert got.n_hat == ref.n_hat
