@@ -31,7 +31,6 @@ from .planning import (
     max_guaranteed_cardinality,
     required_w,
 )
-from .refine import FrameObservation, JointMLEResult, joint_mle, refine_result
 from .probe import ProbeResult, probe_persistence
 from .rough import RoughResult, rough_estimate
 from .tracking import (
@@ -45,10 +44,6 @@ __all__ = [
     "CensusFilter",
     "MissingTagReport",
     "take_census",
-    "FrameObservation",
-    "JointMLEResult",
-    "joint_mle",
-    "refine_result",
     "CardinalityMonitor",
     "MonitorUpdate",
     "feasibility_table",

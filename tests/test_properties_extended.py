@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.membership import CensusFilter
-from repro.core.refine import FrameObservation, joint_mle
 from repro.experiments.dynamics import BatchEvent, PopulationTrace
 from repro.rfid.epc import Sgtin96, decode_sgtin96, encode_sgtin96
 from repro.rfid.faults import FaultModel, correct_skew
@@ -120,33 +119,6 @@ def test_census_fpr_bounds(fill_bits, k):
         elapsed_seconds=0.1,
     )
     assert 0.0 <= census.ideal_false_positive_rate <= census.false_positive_rate <= 1.0
-
-
-# ----------------------------------------------------------------------
-# joint MLE
-# ----------------------------------------------------------------------
-
-
-@given(
-    n_true=st.floats(min_value=5_000, max_value=2_000_000),
-    pn1=st.integers(2, 512),
-    pn2=st.integers(2, 512),
-)
-@settings(max_examples=40)
-def test_joint_mle_recovers_expected_counts(n_true, pn1, pn2):
-    frames = []
-    for slots, pn in ((1024, pn1), (8192, pn2)):
-        rate = 3 * (pn / 1024) / 8192
-        ones = int(round(slots * np.exp(-rate * n_true)))
-        frames.append(FrameObservation(ones=ones, slots=slots, rate=rate))
-    if all(f.ones == f.slots for f in frames) or all(f.ones == 0 for f in frames):
-        return  # degenerate by construction; covered by unit tests
-    result = joint_mle(frames, n0=1_000.0)
-    # Integer rounding of `ones` bounds attainable precision; the MLE must
-    # land within the rounding-induced neighbourhood of the truth.
-    assert result.n_hat > 0
-    if all(0 < f.ones < f.slots for f in frames):
-        assert abs(result.n_hat - n_true) / n_true < 0.25
 
 
 # ----------------------------------------------------------------------
