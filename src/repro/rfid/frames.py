@@ -57,7 +57,7 @@ class FrameResult:
         Ratio of 1s in ``bloom`` (fraction of idle slots), the paper's ρ̄.
     responses:
         Total number of tag transmissions that occurred in observed slots
-        (used by the energy model; not observable by a real reader).
+        (a simulator-side count; not observable by a real reader).
     w:
         The announced hash range (Bloom length), which may exceed
         ``len(bloom)`` for truncated frames.

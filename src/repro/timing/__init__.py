@@ -1,4 +1,4 @@
-"""EPCglobal C1G2 timing constants, execution-time ledger, and energy model."""
+"""EPCglobal C1G2 timing constants, execution-time ledger and link profiles."""
 
 from .c1g2 import (
     C1G2Timing,
@@ -8,7 +8,6 @@ from .c1g2 import (
     TAG_TO_READER_US_PER_BIT,
 )
 from .accounting import Message, PhaseBreakdown, TimeLedger
-from .energy import EnergyModel, EnergyReport
 from .link_budget import FAST_PROFILE, PAPER_PROFILE, SLOW_PROFILE, LinkProfile
 
 __all__ = [
@@ -20,8 +19,6 @@ __all__ = [
     "Message",
     "PhaseBreakdown",
     "TimeLedger",
-    "EnergyModel",
-    "EnergyReport",
     "FAST_PROFILE",
     "PAPER_PROFILE",
     "SLOW_PROFILE",

@@ -15,7 +15,6 @@ from repro import (
 from repro.baselines import SRC, ZOE
 from repro.experiments import guarantee_rate
 from repro.experiments.tables import analytic_overhead
-from repro.timing import EnergyModel
 
 
 class TestEndToEndGuarantee:
@@ -76,18 +75,6 @@ class TestMeasuredVsAnalytic:
         measured = phases["rough"].seconds + phases["accurate"].seconds
         analytic = analytic_overhead().total_seconds
         assert measured == pytest.approx(analytic, abs=302e-6)
-
-
-class TestEnergyIntegration:
-    def test_bfce_tag_energy_accounting(self):
-        pop = TagPopulation(uniform_ids(50_000, seed=9))
-        result = BFCE().estimate(pop, seed=10)
-        p_opt = result.pn_optimal / 1024
-        report = EnergyModel().per_tag_report(
-            result.ledger, mean_tx_bits_per_tag=3 * p_opt * 2  # two frames
-        )
-        assert report.total_nj > 0
-        assert report.rx_nj < 1_000  # only a few hundred downlink bits
 
 
 class TestConfigurationVariants:
