@@ -2,10 +2,10 @@
 
 Primary comparison targets (Figs. 9–10): :class:`ZOE` and :class:`SRC`,
 with :class:`LOF` as ZOE's rough-phase input.  The remaining cited
-state-of-the-art — :class:`PET` [13] and :class:`A3` [16] — and the wider
-related-work family of Sec. II (:class:`UPE`, :class:`EZB`, :class:`FNEB`,
-:class:`MLE`, :class:`ART`) are implemented as well, so every estimator the
-paper names is runnable against the same substrate.
+state-of-the-art — :class:`PET` [13] and :class:`A3` [16] — and part of the
+related-work family of Sec. II (:class:`UPE`, :class:`EZB`, :class:`MLE`,
+:class:`ART`) run against the same substrate in the extended-baselines
+bench and the protocol-comparison example.
 """
 
 from .a3 import A3
@@ -14,7 +14,6 @@ from .base import CardinalityEstimator, EstimationResult
 from .batch import baseline_batchable, run_baseline_trials_batched
 from .hll import HLL, HLL_PARAMS_BITS, HLL_RANK_BITS
 from .ezb import EZB, ezb_required_rounds, variance_factor_g
-from .fneb import FNEB, fneb_required_rounds
 from .framedaloha import AlohaFrame, mean_run_length_of_ones, run_aloha_frame
 from .lof import FM_PHI, LOF
 from .mle import MLE, mle_log_likelihood, solve_mle
@@ -38,8 +37,6 @@ __all__ = [
     "EZB",
     "ezb_required_rounds",
     "variance_factor_g",
-    "FNEB",
-    "fneb_required_rounds",
     "AlohaFrame",
     "mean_run_length_of_ones",
     "run_aloha_frame",

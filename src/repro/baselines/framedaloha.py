@@ -1,6 +1,6 @@
 """Shared framed-slotted-ALOHA machinery for the baseline estimators.
 
-Most pre-BFCE estimators (UPE, EZB, FNEB, MLE, ART, SRC's second phase) share
+Most pre-BFCE estimators (UPE, EZB, MLE, ART, SRC's second phase) share
 one primitive: the reader announces a frame of ``F`` slots and a sampling
 probability ``ρ``; every tag joins the frame with probability ``ρ`` and, if
 joining, hashes uniformly into one slot.  The reader then observes, per slot,

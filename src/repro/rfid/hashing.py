@@ -143,7 +143,7 @@ def uniform_hash(keys: np.ndarray, seed: int, modulus: int) -> np.ndarray:
     """High-quality uniform hash of integer keys into ``[0, modulus)``.
 
     Used by baseline protocols whose published designs assume ideal uniform
-    hash functions (UPE, EZB, FNEB, MLE, ART, SRC).  Implemented as
+    hash functions (UPE, EZB, MLE, ART, SRC).  Implemented as
     ``mix64(key ⊕ mix64(seed)) mod modulus``.
     """
     if modulus <= 0:
