@@ -1,10 +1,7 @@
-"""Edge-case tests for the report renderer and runner aggregation."""
+"""Edge-case tests for the report renderer."""
 
 
 from repro.experiments.report import _format_cell, render_bars, render_table
-from repro.experiments.runner import sweep
-from repro.experiments.workloads import population
-from repro.experiments.runner import run_bfce_trials
 
 
 class TestFormatCell:
@@ -44,25 +41,3 @@ class TestRenderEdges:
     def test_table_unicode_labels(self):
         out = render_table([{"ε": 0.05, "δ": 0.05}])
         assert "ε" in out and "δ" in out
-
-
-class TestSweepCoords:
-    def test_coords_echoed_not_aliased(self):
-        pop = population("T1", 5_000, seed=1)
-
-        def runner(eps: float):
-            return run_bfce_trials(pop, trials=1, eps=eps, base_seed=2)
-
-        grid = [{"eps": 0.1}, {"eps": 0.2}]
-        points = sweep(runner, grid)
-        # Mutating the input grid must not change the recorded coords.
-        grid[0]["eps"] = 999
-        assert points[0].coords == {"eps": 0.1}
-
-    def test_records_tuple_immutable_view(self):
-        pop = population("T1", 5_000, seed=1)
-        points = sweep(
-            lambda: run_bfce_trials(pop, trials=2, base_seed=3), [{}]
-        )
-        assert isinstance(points[0].records, tuple)
-        assert len(points[0].records) == 2

@@ -1,9 +1,9 @@
-"""Unit tests for the trial runner and sweep machinery."""
+"""Unit tests for the trial runner."""
 
 import pytest
 
 from repro.baselines.lof import LOF
-from repro.experiments.runner import TrialRecord, run_bfce_trials, run_trials, sweep
+from repro.experiments.runner import TrialRecord, run_bfce_trials, run_trials
 from repro.experiments.workloads import population
 
 
@@ -45,23 +45,3 @@ class TestRunTrials:
         records = run_trials(LOF(rounds=5), pop, trials=2, base_seed=3)
         assert len(records) == 2
         assert all(r.estimator == "LOF" for r in records)
-
-
-class TestSweep:
-    def test_aggregation(self):
-        pop = population("T1", 10_000, seed=1)
-
-        def runner(trials: int):
-            return run_bfce_trials(pop, trials=trials, base_seed=7)
-
-        points = sweep(runner, [{"trials": 2}, {"trials": 3}])
-        assert len(points) == 2
-        assert points[0].coords == {"trials": 2}
-        assert points[0].errors.trials == 2
-        assert points[1].errors.trials == 3
-        assert points[0].mean_seconds > 0
-        assert 0.0 <= points[0].guarantee_rate <= 1.0
-
-    def test_empty_runner_rejected(self):
-        with pytest.raises(ValueError):
-            sweep(lambda **kw: [], [{}])

@@ -48,6 +48,21 @@ def _sans_engine(records):
     ]
 
 
+class TestPackageNames:
+    """``repro.experiments`` exposes the sweep module and its point spec."""
+
+    def test_sweep_attribute_is_the_module(self):
+        import repro.experiments
+
+        assert repro.experiments.sweep is sys.modules["repro.experiments.sweep"]
+
+    def test_sweep_point_is_the_spec_class(self):
+        import repro.experiments
+        import repro.experiments.sweep
+
+        assert repro.experiments.SweepPoint is repro.experiments.sweep.SweepPoint
+
+
 def _point(**overrides):
     spec = dict(
         distribution="T1", n=N, trials=2, base_seed=5, pop_seed=0, engine="batched"
@@ -172,9 +187,8 @@ class TestKeySensitivity:
     def test_token_paths_include_native_kernels(self):
         # The C kernels are embedded in _native.py as a source string, so
         # hashing that file means any kernel change invalidates the cache.
-        import importlib
+        from repro.experiments import sweep as sweep_mod
 
-        sweep_mod = importlib.import_module("repro.experiments.sweep")
         names = {path.name for path in sweep_mod.engine_token_paths()}
         assert "_native.py" in names
         assert all(path.is_file() for path in sweep_mod.engine_token_paths())

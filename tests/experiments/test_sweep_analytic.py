@@ -12,13 +12,8 @@ import os
 
 import pytest
 
-import importlib
-
 from repro.cli import main as cli_main
-
-#: ``repro.experiments`` exports a *function* named ``sweep``, which shadows
-#: the submodule on attribute access — resolve the module explicitly.
-sweep = importlib.import_module("repro.experiments.sweep")
+from repro.experiments import sweep
 from repro.experiments.sweep import SweepPoint, TrialCache, canonicalise, run_record_sweep
 
 POINT_KWARGS = dict(distribution="T1", n=5_000, trials=2, base_seed=3)
