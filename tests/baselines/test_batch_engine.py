@@ -99,6 +99,8 @@ class TestRunTrialsDispatch:
         pop = TagPopulation(uniform_ids(100, seed=7))
         with pytest.raises(ValueError, match="engine"):
             run_trials(LOF(), pop, trials=1, engine="warp")
+        with pytest.raises(ValueError, match="engine"):
+            run_trials(LOF(), pop, trials=1, engine="auto")
 
     def test_adapter_rejects_unbatchable(self):
         class TweakedLOF(LOF):

@@ -104,6 +104,7 @@ class TestBatchedTrialRunner:
         assert all(r.extra["engine"] == "batched" for r in batched)
 
     def test_engine_auto_routes_to_batched(self):
+        """The default engine is the batched tier."""
         pop = TagPopulation(uniform_ids(5_000, seed=7))
         auto = run_bfce_trials(pop, trials=2, base_seed=0)
         explicit = run_bfce_trials(pop, trials=2, base_seed=0, engine="batched")
@@ -117,6 +118,11 @@ class TestBatchedTrialRunner:
         pop = TagPopulation(uniform_ids(100, seed=8))
         with pytest.raises(ValueError, match="engine"):
             run_bfce_trials(pop, trials=1, engine="warp")
+
+    def test_auto_alias_rejected(self):
+        pop = TagPopulation(uniform_ids(100, seed=8))
+        with pytest.raises(ValueError, match="engine"):
+            run_bfce_trials(pop, trials=1, engine="auto")
 
     def test_trials_validated(self):
         pop = TagPopulation(uniform_ids(100, seed=10))
