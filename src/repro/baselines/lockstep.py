@@ -23,8 +23,9 @@ There are three sources:
   (``estimate_many``);
 * :class:`AnalyticFrames` — each :class:`~repro.rfid.occupancy.AnalyticReader`
   samples the statistic from its exact distribution in O(frame), drawing
-  from its own stream and drawing no seed (``estimate_analytic``).  Exact in
-  distribution, not bit-identical to the event sources.
+  from its own stream and drawing no seed (``estimate_analytic_many``, and
+  ``estimate_analytic`` as its one-seed case).  Exact in distribution, not
+  bit-identical to the event sources.
 """
 
 from __future__ import annotations
@@ -203,9 +204,20 @@ class LockstepEstimator(CardinalityEstimator):
         """Run the protocol against a *virtual* population of ``n`` tags.
 
         Exact in distribution but not bit-identical to :meth:`estimate`;
-        per-trial cost is independent of ``n``.
+        per-trial cost is independent of ``n``.  The one-seed case of
+        :meth:`estimate_analytic_many`.
         """
-        return self.estimate_with_reader(AnalyticReader(int(n), seed=seed))
+        [result] = self.estimate_analytic_many(n, [seed])
+        return result
+
+    def estimate_analytic_many(self, n: int, seeds) -> list[EstimationResult]:
+        """:meth:`estimate_analytic` once per seed, all trials in lockstep.
+
+        Equivalent bit for bit to ``[self.estimate_analytic(n, seed=s) for s
+        in seeds]``: every analytic reader draws from its own stream.
+        """
+        readers = [AnalyticReader(int(n), seed=int(s)) for s in seeds]
+        return self._drive(readers, AnalyticFrames())
 
     def _drive(self, readers: list, frames) -> list[EstimationResult]:
         raise NotImplementedError

@@ -34,6 +34,8 @@ once per round, not once per slot).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy.stats import binom
 
@@ -60,10 +62,12 @@ _ROUND_SUCCESS: float = 0.8
 _MAX_ROUND_RETRIES: int = 6
 
 
+@lru_cache(maxsize=64)
 def src_round_count(delta: float, max_rounds: int = 99) -> int:
     """Smallest odd m with P[Binomial(m, 0.8) ≥ (m+1)/2] ≥ 1 − δ.
 
-    Examples: δ=0.3 → 1, δ=0.15 → 3, δ=0.10 → 5, δ=0.05 → 7.
+    Examples: δ=0.3 → 1, δ=0.15 → 3, δ=0.10 → 5, δ=0.05 → 7.  A pure
+    function of its arguments, so it is solved once per requirement.
     """
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")

@@ -210,8 +210,11 @@ def run_bfce_trials_analytic(
     ``population`` may be a :class:`~repro.rfid.tags.TagPopulation` (its
     ``persistence_mode`` is honoured; its IDs are ignored) or a plain
     cardinality ``n`` — sweeps at n = 10⁷–10⁸ never materialise an ID
-    array.  Records are exact-in-distribution counterparts of the event
-    engines' (never bit-identical); ``extra["engine"] = "analytic"``.
+    array.  All trials run in lockstep through one
+    :meth:`~repro.core.bfce.BFCE.estimate_analytic_many` call, each record
+    bit-identical to a per-seed ``estimate_analytic`` under any channel.
+    Records are exact-in-distribution counterparts of the event engines'
+    (never bit-identical); ``extra["engine"] = "analytic"``.
     """
     if isinstance(population, TagPopulation):
         n_true = population.size
@@ -222,15 +225,12 @@ def run_bfce_trials_analytic(
     if persistence_mode is None:
         persistence_mode = "event"
     bfce = BFCE(config=config, requirement=AccuracyRequirement(eps, delta))
-    results = [
-        bfce.estimate_analytic(
-            n_true,
-            seed=base_seed + t,
-            channel=channel,
-            persistence_mode=persistence_mode,
-        )
-        for t in range(trials)
-    ]
+    results = bfce.estimate_analytic_many(
+        n_true,
+        range(base_seed, base_seed + trials),
+        channel=channel,
+        persistence_mode=persistence_mode,
+    )
     return bfce_trial_records(
         results,
         n_true=n_true,
@@ -264,8 +264,9 @@ def run_trials(
         lockstep driver over batched frame kernels (``estimate_many``,
         dispatched by :mod:`repro.baselines.batch`), and ``"analytic"``
         samples each frame's sufficient statistic from its exact
-        distribution (``estimate_analytic``, LOF/ZOE/SRC only), with
-        per-trial cost independent of n.  Serial and batched are
+        distribution (all trials in lockstep through one
+        ``estimate_analytic_many`` call, LOF/ZOE/SRC only), with per-trial
+        cost independent of n.  Serial and batched are
         bit-identical; analytic is exact-in-distribution only (DESIGN.md §6).
         Estimator subclasses, which may override any protocol step, fall
         back to the serial path, which is always sound, while the analytic
@@ -293,9 +294,7 @@ def run_trials(
                 "engine; use the serial engine"
             )
         n = population.size if isinstance(population, TagPopulation) else int(population)
-        results = [
-            estimator.estimate_analytic(n, seed=base_seed + t) for t in range(trials)
-        ]
+        results = estimator.estimate_analytic_many(n, range(base_seed, base_seed + trials))
         return baseline_trial_records(results, n_true=n, engine="analytic", **common)
     if not isinstance(population, TagPopulation):
         raise TypeError(

@@ -23,6 +23,7 @@ import time
 from dataclasses import asdict, dataclass, field, fields
 
 from ..core.config import DEFAULT_CONFIG, BFCEConfig
+from ..core.estmath import max_estimable_cardinality
 from ..core.tracking import (
     EKFTracker,
     SlidingWindowTracker,
@@ -47,7 +48,9 @@ class ZoneConfig:
     Attributes
     ----------
     n:
-        True cardinality of the zone's (simulated) population.
+        True cardinality of the zone's (simulated) population, at most the
+        estimable cap γ_max·w of the zone's frame (~1.94e7 on the default
+        grid; :func:`~repro.core.estmath.max_estimable_cardinality`).
     distribution:
         TagID distribution (T1/T2/T3/T4); labels records and — for the
         event engines — selects the generated ID workload.
@@ -100,6 +103,14 @@ class ZoneConfig:
                     "the event tag hash only implements the default grid"
                 )
             BFCEConfig.scaled(int(self.w))  # validates the frame size
+        cfg = self.bfce_config()
+        cap = max_estimable_cardinality(cfg.w, cfg.pn_denom, cfg.k)
+        if int(self.n) > cap:
+            # Beyond γ_max·w the accurate frame can stay all-busy at pn_min.
+            raise ValueError(
+                f"n={self.n} exceeds the estimable cap {cap:.4g} of a "
+                f"w={cfg.w} frame; set a larger w (analytic engine)"
+            )
         if self.tracker not in _TRACKERS:
             raise ValueError(f"tracker must be one of {_TRACKERS}, got {self.tracker!r}")
         if self.drift <= 0:

@@ -41,6 +41,19 @@ class TestZoneConfig:
         with pytest.raises((ServiceError, ValueError)):
             ZoneConfig.from_dict(bad)
 
+    @pytest.mark.parametrize("w", [None, 2**17])
+    def test_n_is_capped_at_the_estimable_range(self, w):
+        from repro.core.estmath import max_estimable_cardinality
+
+        cfg = ZoneConfig(n=0, w=w).bfce_config()
+        cap = int(max_estimable_cardinality(cfg.w, cfg.pn_denom, cfg.k))
+        assert ZoneConfig(n=cap, w=w).n == cap
+        with pytest.raises(ValueError, match="estimable cap"):
+            ZoneConfig(n=cap + 1, w=w)
+        with pytest.raises(ServiceError, match="estimable cap") as err:
+            ZoneConfig.from_dict({"n": cap + 1, "w": w})
+        assert err.value.code == 400
+
     def test_scaled_w_allowed_on_analytic(self):
         config = ZoneConfig(n=10**8, engine="analytic", w=2**20)
         assert config.bfce_config().w == 2**20
