@@ -332,6 +332,14 @@ class TestSingleFrameScatter:
         with pytest.raises(ValueError, match="int32"):
             _native.analytic_scatter_native(1, 1 << 31, 64)
 
+    def test_loads_the_library_when_called_first(self, monkeypatch):
+        from repro.rfid.occupancy import scatter_counts
+
+        expected = scatter_counts(3, 500, 1 << 10)
+        monkeypatch.setattr(_native, "_lib", None)
+        monkeypatch.setattr(_native, "_gil_lib", None)
+        assert np.array_equal(_native.analytic_scatter_native(3, 500, 1 << 10), expected)
+
 
 @needs_native
 class TestThreadObservability:
