@@ -20,6 +20,7 @@ import numpy as np
 
 from .accuracy import AccuracyRequirement
 from .config import BFCEConfig, DEFAULT_CONFIG
+from .estmath import max_estimable_cardinality
 from .optimal_p import find_optimal_pn
 
 __all__ = [
@@ -47,12 +48,18 @@ def max_guaranteed_cardinality(
     *,
     tolerance: float = 0.01,
 ) -> float:
-    """Largest n whose (ε, δ) guarantee is satisfiable on the grid.
+    """Largest n whose (ε, δ) guarantee is satisfiable on the grid,
+    clipped to the estimable cap γ_max·w.
 
     The feasible set in n is an *interval*: very small n cannot separate
     the Theorem-3 statistics even at the grid's largest p (λ stays tiny),
     and very large n cannot at its smallest (λ saturates).  We anchor at a
     feasible point found by geometric scan, then bisect the upper edge.
+    Loose requirements pass the Theorem-4 check past
+    :func:`~repro.core.estmath.max_estimable_cardinality` (2.25e7 at
+    (0.2, 0.2) against a 1.94e7 cap at w = 8192), where the accurate frame
+    saturates at ``pn_min`` and the protocol cannot estimate, so the result
+    never exceeds that cap.
 
     Returns 0.0 if no cardinality is guaranteeable at all (degenerate
     configs only).
@@ -64,20 +71,21 @@ def max_guaranteed_cardinality(
             break
     if anchor is None:
         return 0.0
+    cap = max_estimable_cardinality(config.w, config.pn_denom, config.k)
     lo, hi = anchor, anchor
     # Exponential search for an infeasible upper end.
     while is_guaranteeable(hi, req, config):
         lo = hi
         hi *= 2
         if hi > 1e12:
-            return hi  # practically unbounded for this configuration
+            return cap  # practically unbounded for this configuration
     while (hi - lo) / hi > tolerance:
         mid = (lo + hi) / 2
         if is_guaranteeable(mid, req, config):
             lo = mid
         else:
             hi = mid
-    return lo
+    return min(lo, cap)
 
 
 def required_w(

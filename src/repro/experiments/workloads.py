@@ -7,15 +7,19 @@ figure generators and the benchmark harness agree on them:
 * the ε and δ grids of Figs. 7(b, c) and 9–10(b, c) — 0.05 … 0.30;
 * the reference point n = 500 000, (ε, δ) = (0.05, 0.05) used throughout.
 
-Populations are cached per (distribution, n, seed) so a sweep draws each
-tagID set once; every call still builds a fresh :class:`TagPopulation`,
-whose full duplicate check and RN derivation are the remaining per-call
-cost.  The cache is **byte-budgeted**, not entry-counted: a long-running
-process (the estimation service) touching many zones at n = 10⁸ would
-otherwise pin tens of GB of ID arrays.  ``REPRO_POPULATION_CACHE_BYTES``
-sets the budget (default 512 MiB — comfortably the whole test/bench
-workload set); arrays above the budget are built but never retained, and
-eviction is LRU.
+TagID arrays are cached per (distribution, n, seed) so a sweep draws each
+tagID set once.  ``population(..., copy=False)`` — the sweep executors'
+path — also returns one shared, read-only :class:`TagPopulation` per
+(rn_source, rn_seed, persistence_mode) on that set, so its full duplicate
+check and RN derivation run once per tagID set, not once per sweep point;
+``copy=True`` (the default) builds a fresh, writable population on a copy.
+The cache is **byte-budgeted**, not entry-counted: a long-running process
+(the estimation service) touching many zones at n = 10⁸ would otherwise pin
+tens of GB of ID arrays.  ``REPRO_POPULATION_CACHE_BYTES`` sets the budget
+(default 512 MiB — comfortably the whole test/bench workload set); an
+entry's bytes are its id array plus its shared populations' RN arrays,
+arrays above the budget are built but never retained, and eviction is LRU,
+populations together with their array.
 """
 
 from __future__ import annotations
@@ -92,36 +96,53 @@ def population_cache_bytes() -> int:
     return _DEFAULT_CACHE_BYTES
 
 
-class _IdCache:
-    """Byte-budget LRU over immutable tagID arrays (thread-safe).
+class _Entry:
+    """One cached tagID set: its read-only array, the shared populations
+    built on it, and the bytes both hold."""
 
-    Replaces the previous ``lru_cache(maxsize=64)``: 64 retained arrays at
-    n = 10⁸ is tens of GB, fatal for a long-running server.  Entries are
-    evicted least-recently-used once the cached bytes exceed the budget;
-    an array larger than the whole budget is returned to the caller but
-    never retained.
+    __slots__ = ("ids", "populations", "nbytes")
+
+    def __init__(self, ids: np.ndarray) -> None:
+        self.ids = ids
+        self.populations: dict[tuple, TagPopulation] = {}
+        self.nbytes = ids.nbytes
+
+
+class _PopulationCache:
+    """Byte-budget LRU over tagID sets and their shared populations
+    (thread-safe).
+
+    One entry per (distribution, n, seed): the read-only id array plus every
+    read-only :class:`TagPopulation` ``population(..., copy=False)`` built
+    on it, one per (rn_source, rn_seed, persistence_mode).  An entry's bytes
+    are the array's plus each population's RN array, and eviction drops an
+    entry whole, populations with their array.  Entries are evicted
+    least-recently-used once the cached bytes exceed the budget; an array
+    larger than the whole budget is returned to the caller but never
+    retained.  Hits and misses count id-array lookups, one per call.
     """
 
     def __init__(self) -> None:
-        self._entries: OrderedDict[tuple, np.ndarray] = OrderedDict()
+        self._entries: OrderedDict[tuple, _Entry] = OrderedDict()
         self._bytes = 0
         self._hits = 0
         self._misses = 0
         self._lock = threading.Lock()
 
-    def get(self, distribution: str, n: int, seed: int) -> np.ndarray:
-        key = (distribution, n, seed)
+    def entry(self, key: tuple) -> _Entry:
+        """The entry of ``key`` (built on a miss); counts one hit or miss."""
         with self._lock:
-            ids = self._entries.get(key)
-            if ids is not None:
+            entry = self._entries.get(key)
+            if entry is not None:
                 self._entries.move_to_end(key)
                 self._hits += 1
-                return ids
+                return entry
             self._misses += 1
         # Build outside the lock: generation dominates and must not block
         # concurrent hits (the service executor threads share this cache).
-        ids = make_ids(distribution, n, seed)
+        ids = make_ids(*key)
         ids.setflags(write=False)
+        entry = _Entry(ids)
         budget = population_cache_bytes()
         with self._lock:
             raced = self._entries.get(key)
@@ -129,15 +150,49 @@ class _IdCache:
                 self._entries.move_to_end(key)
                 return raced
             if ids.nbytes <= budget:
-                self._entries[key] = ids
-                self._bytes += ids.nbytes
-                while self._bytes > budget and self._entries:
-                    _, evicted = self._entries.popitem(last=False)
-                    self._bytes -= evicted.nbytes
-                    _metrics.inc("population.cache.evicted")
+                self._entries[key] = entry
+                self._bytes += entry.nbytes
+                self._evict(budget)
             else:
                 _metrics.inc("population.cache.oversize")
-        return ids
+        return entry
+
+    def shared_population(self, key: tuple, variant: tuple) -> TagPopulation:
+        """The one read-only population of ``variant`` on ``key``'s ids."""
+        entry = self.entry(key)
+        with self._lock:
+            pop = entry.populations.get(variant)
+        if pop is not None:
+            return pop
+        rn_source, rn_seed, persistence_mode = variant
+        # Built outside the lock, like the ids: the duplicate check and the
+        # RN derivation are the cost this cache exists to pay once.
+        pop = TagPopulation(
+            entry.ids,
+            rn_source=rn_source,
+            rn_seed=rn_seed,
+            persistence_mode=persistence_mode,
+        )
+        pop.rn.setflags(write=False)
+        budget = population_cache_bytes()
+        with self._lock:
+            raced = entry.populations.get(variant)
+            if raced is not None:
+                return raced
+            entry.populations[variant] = pop
+            entry.nbytes += pop.rn.nbytes
+            if self._entries.get(key) is entry:  # not evicted meanwhile
+                self._bytes += pop.rn.nbytes
+                self._evict(budget)
+        return pop
+
+    def _evict(self, budget: int) -> None:
+        """Drop least-recently-used entries down to ``budget`` (caller
+        holds the lock)."""
+        while self._bytes > budget and self._entries:
+            _, evicted = self._entries.popitem(last=False)
+            self._bytes -= evicted.nbytes
+            _metrics.inc("population.cache.evicted")
 
     def info(self) -> CacheInfo:
         with self._lock:
@@ -154,11 +209,7 @@ class _IdCache:
             self._misses = 0
 
 
-_ID_CACHE = _IdCache()
-
-
-def _cached_ids(distribution: str, n: int, seed: int) -> np.ndarray:
-    return _ID_CACHE.get(distribution, n, seed)
+_CACHE = _PopulationCache()
 
 
 def population(
@@ -173,18 +224,22 @@ def population(
 ) -> TagPopulation:
     """Build (or fetch from cache) a tag population for one sweep point.
 
-    The underlying tagID array is cached and marked read-only; the
-    :class:`~repro.rfid.tags.TagPopulation` wrapper is constructed fresh so
-    callers may vary ``rn_source`` / ``persistence_mode`` freely.
+    The underlying tagID array is cached per (distribution, n, seed) and
+    marked read-only.  ``copy=True`` (the default) returns a fresh, writable
+    :class:`~repro.rfid.tags.TagPopulation` on a copy of it.
 
-    ``copy=False`` hands out the cached read-only array itself — sweep
-    workers use this to share one ID buffer across every point touching the
-    same (distribution, n, seed) triple instead of duplicating it per trial
-    batch.  Callers taking this path must not write to ``tag_ids``.
+    ``copy=False`` returns the one shared population of this (distribution,
+    n, seed, rn_source, rn_seed, persistence_mode), cached with its id array
+    and evicted with it: its ``tag_ids`` and ``rn`` are read-only, so sweep
+    workers share one buffer across every point on the same tagID set, and
+    the duplicate check and RN derivation run once per set, not per call.
+    Callers taking this path must not mutate the population.
     """
-    ids = _cached_ids(distribution, int(n), int(seed))
+    key = (distribution, int(n), int(seed))
+    if not copy:
+        return _CACHE.shared_population(key, (rn_source, int(rn_seed), persistence_mode))
     return TagPopulation(
-        ids.copy() if copy else ids,
+        _CACHE.entry(key).ids.copy(),
         rn_source=rn_source,  # type: ignore[arg-type]
         rn_seed=rn_seed,
         persistence_mode=persistence_mode,  # type: ignore[arg-type]
@@ -196,11 +251,13 @@ def population_cache_info() -> CacheInfo:
 
     Mirrors the ``functools.lru_cache`` info shape (so existing tooling
     keeps working), with ``maxsize`` reporting the **byte budget** and
-    ``currsize`` the bytes currently retained.
+    ``currsize`` the bytes currently retained (id arrays plus the RN arrays
+    of their shared populations).  One lookup per ``population`` call.
     """
-    return _ID_CACHE.info()
+    return _CACHE.info()
 
 
 def population_cache_clear() -> None:
-    """Drop every cached tagID array (e.g. between memory-sensitive runs)."""
-    _ID_CACHE.clear()
+    """Drop every cached tagID array and shared population (e.g. between
+    memory-sensitive runs)."""
+    _CACHE.clear()

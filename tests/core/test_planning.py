@@ -1,9 +1,11 @@
 """Unit tests for the deployment-feasibility planner."""
 
+import numpy as np
 import pytest
 
 from repro.core.accuracy import AccuracyRequirement
 from repro.core.config import BFCEConfig
+from repro.core.estmath import max_estimable_cardinality
 from repro.core.planning import (
     feasibility_table,
     is_guaranteeable,
@@ -52,6 +54,23 @@ class TestMaxGuaranteedCardinality:
     def test_larger_w_extends_range(self):
         big = BFCEConfig(w=16384)
         assert max_guaranteed_cardinality(REQ, big) > max_guaranteed_cardinality(REQ)
+
+    @pytest.mark.parametrize("eps_delta", [(0.2, 0.2), (0.3, 0.3)])
+    def test_clipped_to_the_estimable_cap(self, eps_delta):
+        """Theorem 4 alone passes loose cells past γ_max·w (2.25e7 and
+        2.46e7 here), where the protocol cannot estimate: the planner and
+        its table must stop at the cap."""
+        req = AccuracyRequirement(*eps_delta)
+        cap = max_estimable_cardinality(8192)
+        assert is_guaranteeable(1.1 * cap, req)  # the unclipped check passes
+        assert max_guaranteed_cardinality(req) == cap
+        (row,) = feasibility_table(eps_values=eps_delta[:1], delta_values=eps_delta[1:])
+        assert row["max_n"] == np.floor(cap)
+
+    def test_cap_follows_the_config(self):
+        config = BFCEConfig.scaled(1 << 14)
+        cap = max_estimable_cardinality(config.w, config.pn_denom, config.k)
+        assert max_guaranteed_cardinality(AccuracyRequirement(0.3, 0.3), config) == cap
 
 
 class TestRequiredW:

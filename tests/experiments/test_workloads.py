@@ -103,3 +103,116 @@ class TestByteBudgetCache:
         assert info.currsize == 0
         assert info.hits == 0 and info.misses >= 2
         population_cache_clear()
+
+
+class TestSharedPopulation:
+    """``copy=False`` returns one read-only population per tagID set and
+    variant, cached and evicted together with its id array."""
+
+    @pytest.fixture(autouse=True)
+    def _cold_cache(self):
+        population_cache_clear()
+        yield
+        population_cache_clear()
+
+    def test_same_key_same_read_only_object(self):
+        a = population("T2", 3_000, seed=5, copy=False)
+        b = population("T2", 3_000, seed=5, copy=False)
+        assert a is b
+        assert not a.tag_ids.flags.writeable
+        assert not a.rn.flags.writeable
+        with pytest.raises(ValueError):
+            a.rn[0] = 0
+
+    @pytest.mark.parametrize(
+        "base,variant",
+        [
+            ({}, {"rn_source": "random"}),
+            ({"rn_source": "random"}, {"rn_source": "random", "rn_seed": 9}),
+            ({}, {"persistence_mode": "static"}),
+        ],
+        ids=["rn_source", "rn_seed", "persistence_mode"],
+    )
+    def test_each_variant_is_its_own_population(self, base, variant):
+        first = population("T1", 2_000, seed=1, copy=False, **base)
+        other = population("T1", 2_000, seed=1, copy=False, **variant)
+        assert other is not first
+        assert other.tag_ids is first.tag_ids  # one shared id array
+        assert other is population("T1", 2_000, seed=1, copy=False, **variant)
+
+    def test_shared_population_equals_a_fresh_build(self):
+        shared = population("T3", 2_000, seed=2, rn_source="random", rn_seed=4, copy=False)
+        fresh = population("T3", 2_000, seed=2, rn_source="random", rn_seed=4)
+        assert np.array_equal(shared.tag_ids, fresh.tag_ids)
+        assert np.array_equal(shared.rn, fresh.rn)
+        assert shared.persistence_mode == fresh.persistence_mode
+
+    def test_copy_true_stays_fresh_and_writable(self):
+        shared = population("T1", 1_000, seed=3, copy=False)
+        a = population("T1", 1_000, seed=3)
+        b = population("T1", 1_000, seed=3)
+        assert a is not b and a is not shared
+        assert a.tag_ids.flags.writeable and a.rn.flags.writeable
+        a.tag_ids[0] = 0
+        a.rn[0] = 0
+        assert shared.tag_ids[0] != 0
+        assert b.tag_ids[0] != 0
+
+    def test_budget_counts_rn_bytes_and_evicts_together(self, monkeypatch):
+        pop = population("T1", 1_000, seed=0, copy=False)
+        ids_bytes, rn_bytes = pop.tag_ids.nbytes, pop.rn.nbytes
+        assert population_cache_info().currsize == ids_bytes + rn_bytes
+        population("T1", 1_000, seed=0, persistence_mode="static", copy=False)
+        assert population_cache_info().currsize == ids_bytes + 2 * rn_bytes
+        # Room for one more id array, not for its population too: building
+        # that population evicts the least recently used entry whole.
+        monkeypatch.setenv(CACHE_BYTES_ENV, str(2 * ids_bytes + 2 * rn_bytes))
+        population("T1", 1_000, seed=1)
+        assert population_cache_info().currsize == 2 * ids_bytes + 2 * rn_bytes
+        population("T1", 1_000, seed=1, copy=False)
+        assert population_cache_info().currsize == ids_bytes + rn_bytes
+        misses = population_cache_info().misses
+        again = population("T1", 1_000, seed=0, copy=False)
+        assert population_cache_info().misses == misses + 1  # array gone too
+        assert again is not pop
+
+    def test_clear_drops_arrays_and_populations(self):
+        pop = population("T1", 1_000, seed=0, copy=False)
+        population_cache_clear()
+        assert population_cache_info().currsize == 0
+        assert population("T1", 1_000, seed=0, copy=False) is not pop
+
+    @pytest.mark.parametrize("copy", [True, False])
+    def test_hits_and_misses_count_one_per_call(self, copy):
+        population("T1", 1_000, seed=0, copy=copy)
+        population("T1", 1_000, seed=0, copy=copy)
+        population("T1", 1_000, seed=0, persistence_mode="static", copy=copy)
+        population("T1", 1_000, seed=1, copy=copy)
+        info = population_cache_info()
+        assert (info.hits, info.misses) == (2, 2)
+
+    def test_racing_threads_get_equal_populations(self):
+        import sys
+        import threading
+
+        barrier = threading.Barrier(2)
+        results = [None, None]
+
+        def build(slot):
+            barrier.wait()
+            results[slot] = population("T2", 20_000, seed=8, copy=False)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        a, b = results
+        assert np.array_equal(a.tag_ids, b.tag_ids)
+        assert np.array_equal(a.rn, b.rn)
+        assert population("T2", 20_000, seed=8, copy=False) in (a, b)

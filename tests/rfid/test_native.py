@@ -18,8 +18,10 @@ thread-utilisation metrics.
 """
 
 import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,20 @@ from repro.rfid.tags import TagPopulation
 needs_native = pytest.mark.skipif(
     _native.get_lib() is None, reason="no C compiler / native build failed"
 )
+
+#: Id counts around the 1024-id blocks of the blocked kernels: none, one,
+#: one short of a block, one block, one past it, three blocks and a tail.
+BLOCK_EDGES = (0, 1, 1023, 1024, 1025, 3073)
+
+
+def _at_block_edges(cases, n, *extra):
+    """Each case at the historical size ``n`` (ids unchanged), then at
+    every block edge; ``extra`` is appended to every parameter set."""
+    return [pytest.param(c, n, *extra, id=str(c)) for c in cases] + [
+        pytest.param(c, edge, *extra, id=f"{c}-n{edge}")
+        for c in cases
+        for edge in BLOCK_EDGES
+    ]
 
 
 @pytest.fixture
@@ -53,26 +69,33 @@ class TestNativeAvailability:
 
 @needs_native
 class TestNativeMatchesNumpy:
-    @pytest.mark.parametrize("max_bits", [1, 16, 32, 64])
-    def test_occupancy_kernel(self, max_bits, monkeypatch):
-        keys = uniform_ids(5_000, seed=1)
+    @pytest.mark.parametrize("max_bits,n", _at_block_edges([1, 16, 32, 64], 5_000))
+    def test_occupancy_kernel(self, max_bits, n, monkeypatch):
+        keys = uniform_ids(n, seed=1)
         seeds = np.random.default_rng(2).integers(0, 1 << 32, 40, dtype=np.uint64)
         native = geometric_occupancy_batch(keys, seeds, max_bits=max_bits)
         monkeypatch.setenv("REPRO_NATIVE", "0")
         reference = geometric_occupancy_batch(keys, seeds, max_bits=max_bits)
         assert np.array_equal(native, reference)
 
-    @pytest.mark.parametrize("rho", [0.0, 0.01, 0.5, 1.0])
-    def test_aloha_kernel(self, rho, monkeypatch):
-        pop = TagPopulation(uniform_ids(5_000, seed=3))
+    @pytest.mark.parametrize(
+        "rho,n,frame_size",
+        _at_block_edges([0.0, 0.01, 0.5, 1.0], 5_000, 257)
+        + [
+            pytest.param(rho, 5_000, 4_000, id=f"{rho}-w4000")
+            for rho in (0.0, 0.01, 0.6, 1.0)
+        ],
+    )
+    def test_aloha_kernel(self, rho, n, frame_size, monkeypatch):
+        pop = TagPopulation(uniform_ids(n, seed=3))
         seeds = np.random.default_rng(4).integers(0, 1 << 32, 20, dtype=np.uint64)
         probs = np.full(seeds.size, rho)
         native = aloha_empty_counts_batch(
-            pop, frame_size=257, sampling_probs=probs, seeds=seeds
+            pop, frame_size=frame_size, sampling_probs=probs, seeds=seeds
         )
         monkeypatch.setenv("REPRO_NATIVE", "0")
         reference = aloha_empty_counts_batch(
-            pop, frame_size=257, sampling_probs=probs, seeds=seeds
+            pop, frame_size=frame_size, sampling_probs=probs, seeds=seeds
         )
         assert np.array_equal(native, reference)
 
@@ -105,11 +128,11 @@ class TestNativeMatchesNumpy:
         assert np.array_equal(native.blooms, reference.blooms)
         assert np.array_equal(native.responses, reference.responses)
 
-    @pytest.mark.parametrize("p", [4, 10, 12, 16])
-    def test_hll_register_kernel(self, p, monkeypatch):
+    @pytest.mark.parametrize("p,n", _at_block_edges([4, 10, 12, 16], 20_000))
+    def test_hll_register_kernel(self, p, n, monkeypatch):
         from repro.sketch.hll import hll_registers
 
-        ids = uniform_ids(20_000, seed=21)
+        ids = uniform_ids(n, seed=21)
         native = hll_registers(ids, 42, p)
         monkeypatch.setenv("REPRO_NATIVE", "0")
         reference = hll_registers(ids, 42, p)
@@ -196,8 +219,10 @@ class TestThreadedEquivalence:
     """Threaded kernels bit-identical to NumPy at 1, 2 and 7 threads.
 
     The workloads are sized past the minimum-event threshold so the thread
-    fan-out actually engages (when the build has pthreads); on serial-only
-    builds the env var is ignored and the comparison still holds.
+    fan-out actually engages (when the build has pthreads); the block-edge
+    cases lower that threshold so their small calls spread over threads
+    too.  On serial-only builds the env var is ignored and the comparison
+    still holds.
     """
 
     @pytest.fixture(params=["1", "2", "7"])
@@ -205,16 +230,24 @@ class TestThreadedEquivalence:
         monkeypatch.setenv("REPRO_NATIVE_THREADS", request.param)
         return int(request.param)
 
-    def test_occupancy_kernel_threaded(self, threads, monkeypatch):
-        keys = uniform_ids(5_000, seed=11)
+    @pytest.mark.parametrize(
+        "threads,n", _at_block_edges(["1", "2", "7"], 5_000), indirect=["threads"]
+    )
+    def test_occupancy_kernel_threaded(self, threads, n, monkeypatch):
+        monkeypatch.setattr(_native, "_MT_MIN_EVENTS", 1)
+        keys = uniform_ids(n, seed=11)
         seeds = np.random.default_rng(12).integers(0, 1 << 32, 60, dtype=np.uint64)
         native = geometric_occupancy_batch(keys, seeds, max_bits=32)
         monkeypatch.setenv("REPRO_NATIVE", "0")
         reference = geometric_occupancy_batch(keys, seeds, max_bits=32)
         assert np.array_equal(native, reference)
 
-    def test_aloha_kernel_threaded(self, threads, monkeypatch):
-        pop = TagPopulation(uniform_ids(5_000, seed=13))
+    @pytest.mark.parametrize(
+        "threads,n", _at_block_edges(["1", "2", "7"], 5_000), indirect=["threads"]
+    )
+    def test_aloha_kernel_threaded(self, threads, n, monkeypatch):
+        monkeypatch.setattr(_native, "_MT_MIN_EVENTS", 1)
+        pop = TagPopulation(uniform_ids(n, seed=13))
         rng = np.random.default_rng(14)
         seeds = rng.integers(0, 1 << 32, 40, dtype=np.uint64)
         probs = rng.uniform(0.0, 1.0, seeds.size)
@@ -265,13 +298,17 @@ class TestThreadedEquivalence:
         for native, reference in zip(natives, references):
             assert np.array_equal(native, reference)
 
-    def test_hll_register_kernel_threaded(self, threads, monkeypatch):
+    @pytest.mark.parametrize(
+        "threads,n", _at_block_edges(["1", "2", "7"], 50_000), indirect=["threads"]
+    )
+    def test_hll_register_kernel_threaded(self, threads, n, monkeypatch):
         """The update kernel splits ids across threads into scratch register
         rows; the elementwise-max merge must reproduce the serial registers
         exactly at every thread count."""
         from repro.sketch.hll import hll_registers
 
-        ids = uniform_ids(50_000, seed=22)
+        monkeypatch.setattr(_native, "_MT_MIN_EVENTS", 1)
+        ids = uniform_ids(n, seed=22)
         native = hll_registers(ids, 0xBEEF, 12)
         monkeypatch.setenv("REPRO_NATIVE", "0")
         reference = hll_registers(ids, 0xBEEF, 12)
@@ -410,9 +447,9 @@ class TestBuildIsolation:
 
     def test_single_thread_fallback_build(self, tmp_path):
         """``REPRO_NATIVE_PTHREADS=0`` forces the serial variant: the library
-        reports no thread support, a thread request is ignored, and results
-        still match the pthread build bit-for-bit (checked via the kernels'
-        NumPy contract in the threaded suites)."""
+        reports no thread support and a thread request is ignored.  CI runs
+        this whole file with that setting, so the serial build meets the
+        same bit-for-bit NumPy contract as the pthread build."""
         proc = _spawn_builder(
             tmp_path / "st_build",
             extra_env={"REPRO_NATIVE_PTHREADS": "0", "REPRO_NATIVE_THREADS": "8"},
@@ -422,6 +459,77 @@ class TestBuildIsolation:
         assert "BUILD_OK 0" in out
         libs = list((tmp_path / "st_build").glob("*_st.so"))
         assert len(libs) == 1
+
+
+class TestBuildTag:
+    """The library cache tag covers the compile command and the host CPU, so
+    a build directory shared by two hosts (or two flag sets) never hands one
+    of them the other's library — and loading a published library runs no
+    compiler, which keeps process set-up cheap."""
+
+    COMMAND = ["cc", *_native._CFLAGS, "-pthread", "-DREPRO_MT"]
+
+    def test_tag_is_stable(self):
+        assert _native._build_tag(self.COMMAND, "avx2 avx512f") == _native._build_tag(
+            list(self.COMMAND), "avx2 avx512f"
+        )
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["cc", "-O2", *_native._CFLAGS[2:], "-pthread", "-DREPRO_MT"],
+            ["cc", *_native._CFLAGS],
+            ["clang", *_native._CFLAGS, "-pthread", "-DREPRO_MT"],
+        ],
+        ids=["flags", "variant", "compiler"],
+    )
+    def test_tag_changes_with_the_command(self, command):
+        assert _native._build_tag(command, "avx2") != _native._build_tag(
+            self.COMMAND, "avx2"
+        )
+
+    def test_tag_changes_with_the_cpu_signature(self):
+        assert _native._build_tag(self.COMMAND, "avx2 avx512f") != _native._build_tag(
+            self.COMMAND, "avx2"
+        )
+
+    def test_cpu_signature_is_read(self):
+        assert _native._cpu_signature().strip()
+
+    def _reset(self, monkeypatch):
+        monkeypatch.setattr(_native, "_lib", None)
+        monkeypatch.setattr(_native, "_gil_lib", None)
+        monkeypatch.setattr(_native, "_build_failed", False)
+
+    @needs_native
+    def test_published_library_loads_without_a_subprocess(self, monkeypatch):
+        def no_compiler(*args, **kwargs):
+            raise AssertionError(f"compiler ran: {args}")
+
+        self._reset(monkeypatch)
+        monkeypatch.setattr(_native.subprocess, "run", no_compiler)
+        assert _native.get_lib() is not None
+
+    @needs_native
+    def test_another_cpu_never_loads_this_library(self, tmp_path, monkeypatch):
+        """A build directory holding this host's library, seen from a host
+        with another CPU: that host compiles its own library instead."""
+        runs = []
+
+        def failing_compiler(*args, **kwargs):
+            runs.append(args)
+            raise subprocess.CalledProcessError(1, args[0])
+
+        published = Path(_native.get_lib()._name)
+        shutil.copy(published, tmp_path / published.name)
+        monkeypatch.setenv("REPRO_NATIVE_BUILD_DIR", str(tmp_path))
+        monkeypatch.setattr(_native.subprocess, "run", failing_compiler)
+        self._reset(monkeypatch)
+        assert _native.get_lib() is not None and not runs  # this host reuses it
+        self._reset(monkeypatch)
+        monkeypatch.setattr(_native, "_cpu_signature", lambda: "another host's cpu")
+        assert _native.get_lib() is None  # it compiles its own (failing here)
+        assert runs
 
 
 class TestNumpyFallbackEndToEnd:
