@@ -34,6 +34,13 @@ populations up to 10⁸, drives it with the async load generator, and writes
      must equal its lifetime counter delta **bit-exactly** (the ring
      windows' conservation invariant).  Always gated, like equivalence.
 
+The cold and warm phases also read the server's own error counters as
+registry deltas: every ``service.errors.<code>`` must stay at 0 except
+the 429 shed, which must equal the sheds the client saw, and
+``service.cache.store_failed`` (a store that failed after its response
+went out) must stay at 0.  A breach exits non-zero naming the code and
+the count.  Always gated.
+
 Run as a script or module::
 
     PYTHONPATH=src python benchmarks/bench_perf_service.py
@@ -78,6 +85,9 @@ from repro.service.server import EstimationServer  # noqa: E402
 from repro.service.zones import ZoneConfig  # noqa: E402
 
 BASE_SEED = 2015  # unused by the service itself; kept for report symmetry
+
+#: Counted when a cache store fails after its response went out.
+STORE_FAILED = "service.cache.store_failed"
 
 
 def _zone_set(zones: int, n_max: int) -> dict:
@@ -168,6 +178,7 @@ async def _bench(
         # coalescing needs same-zone concurrency, which a uniform spray
         # across hundreds of zones would never produce.
         engine_calls_before = server.coalescer.engine_calls
+        errors_before = _error_counters()
         cold = await run_load(
             host=host,
             port=port,
@@ -180,11 +191,14 @@ async def _bench(
         cold["requests_per_engine_call"] = round(
             cold["requests"] / max(1, cold["engine_calls"]), 2
         )
+        cold["server_errors"] = _counter_delta(_error_counters(), errors_before)
+        cold["client_shed"] = cold["shed"]
 
         # Phase 3: warm — shared seed window, cache-resident steady state.
         # One priming pass populates the caches; the timed pass is what the
         # SLO floors gate.
-        await run_load(
+        errors_before = _error_counters()
+        prime = await run_load(
             host=host,
             port=port,
             zones=zone_names,
@@ -202,6 +216,8 @@ async def _bench(
             seed_mode="warm",
             warm_window=warm_window,
         )
+        warm["server_errors"] = _counter_delta(_error_counters(), errors_before)
+        warm["client_shed"] = prime["shed"] + warm["shed"]
 
         # Server-side view, captured before the telemetry phase injects
         # spikes: the log-bucketed obs histogram (±4.4 % error), reported
@@ -289,9 +305,9 @@ async def _bench(
         alerts_before = len(server.telemetry.alerts)
         original_run = server.coalescer._run_group_sync
 
-        def spiked_run(config, seeds, _orig=original_run):
+        def spiked_run(*args, _orig=original_run):
             time.sleep(spike_sleep)
-            return _orig(config, seeds)
+            return _orig(*args)
 
         server.coalescer._run_group_sync = spiked_run
         stop_spike = asyncio.Event()
@@ -407,6 +423,42 @@ async def _bench(
         "telemetry": telemetry,
         "server": server_side,
     }
+
+
+def _error_counters() -> dict:
+    """The server's ``service.errors.<code>`` and store-failure counters."""
+    return {
+        name: value
+        for name, value in obs_metrics.snapshot()["counters"].items()
+        if name.startswith("service.errors.") or name == STORE_FAILED
+    }
+
+
+def _counter_delta(after: dict, before: dict) -> dict:
+    """Counters that moved between two :func:`_error_counters` reads."""
+    moved = {name: value - before.get(name, 0) for name, value in after.items()}
+    return {name: delta for name, delta in sorted(moved.items()) if delta}
+
+
+def _error_gate(report: dict) -> list[str]:
+    """Each phase's server-side error counters, from registry deltas.
+
+    Every ``service.errors.<code>`` must stay at 0 except the 429 shed,
+    which must equal the shed responses the client saw; a cache store that
+    failed after its response went out must not happen at all.
+    """
+    failures = []
+    for phase in ("cold", "warm"):
+        stats = report[phase]
+        for name, count in stats["server_errors"].items():
+            if name == "service.errors.429" and count == stats["client_shed"]:
+                continue
+            code = name.rsplit(".", 1)[1] if name.startswith("service.errors.") else name
+            failures.append(
+                f"{phase} phase: server counted {count:g} × {code} "
+                f"(client saw {stats['client_shed']} shed)"
+            )
+    return failures
 
 
 def _q_ms(hist, q):
@@ -565,6 +617,11 @@ def main(argv: list[str] | None = None) -> int:
     errors = report["cold"]["errors"] + report["warm"]["errors"]
     if errors:
         print(f"FAIL: {errors} non-shed error response(s) under load")
+        return 1
+    server_errors = _error_gate(report)
+    for failure in server_errors:
+        print(f"FAIL: {failure}")
+    if server_errors:
         return 1
     if not telem["reconcile_exact"]:
         bad = {

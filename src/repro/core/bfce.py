@@ -27,10 +27,10 @@ reader's observed idle ratio ρ̄.  There are three:
   per seed;
 * :func:`analytic_sense` samples every active
   :class:`~repro.rfid.occupancy.AnalyticReader`'s frame from that reader's
-  own stream in one lean pass per round (no ``FrameResult``, counters
-  bumped once per round), so :meth:`BFCE.estimate_analytic_many` is
-  bit-identical to one :meth:`BFCE.estimate_analytic` per seed under any
-  channel.
+  own stream in one lean pass per round (no ``FrameResult``, counters and
+  kernel metrics written once per round), so
+  :meth:`BFCE.estimate_analytic_many` is bit-identical to one
+  :meth:`BFCE.estimate_analytic` per seed under any channel.
 
 Everything is metered on the readers' :class:`~repro.timing.TimeLedger`; the
 returned :class:`BFCEResult` carries the estimate, the per-phase diagnostics
@@ -48,6 +48,7 @@ import numpy as np
 from ..obs import metrics as _metrics
 from ..obs.events import ledger_crosscheck
 from ..obs.trace import enabled as _tracing, event as _event, ledger_phase_cums, span as _span
+from ..rfid._native import scatter_round
 from ..rfid.channel import Channel, PerfectChannel
 from ..rfid.frames import run_bfce_frame_batch
 from ..rfid.protocol import bfce_phase_message
@@ -235,9 +236,10 @@ def analytic_sense(config: BFCEConfig) -> Sense:
     ``k`` seeds drawn (and unused) so the stream stays aligned, then the
     shared :meth:`~repro.rfid.occupancy.AnalyticReader.sample_frame` step
     (sampling, channel, uplink metering) — without building a
-    ``FrameResult`` or a per-frame span, and with the frame counters bumped
-    once per round.  Each reader draws only
-    from its own stream, so any channel is sound.
+    ``FrameResult`` or a per-frame span, and with the frame counters and
+    the scatter kernel's metrics (:func:`~repro.rfid._native.scatter_round`)
+    written once per round, as exact totals.  Each reader draws only from
+    its own stream, so any channel is sound.
     """
     message = _phase_message(config)
     w, k = config.w, config.k
@@ -245,15 +247,16 @@ def analytic_sense(config: BFCEConfig) -> Sense:
     def sense(readers, pns, observe_slots, phase):
         rhos = []
         idle = 0
-        for reader, pn in zip(readers, pns):
-            reader.broadcast(message, phase=phase)
-            reader.fresh_seeds(k)
-            _, _, ones = reader.sample_frame(
-                w=w, k=k, p_n=pn, observe_slots=observe_slots, phase=phase
-            )
-            idle += ones
-            # The same single rounded division as sense_frame's ρ̄.
-            rhos.append(ones / observe_slots)
+        with scatter_round():
+            for reader, pn in zip(readers, pns):
+                reader.broadcast(message, phase=phase)
+                reader.fresh_seeds(k)
+                _, _, ones = reader.sample_frame(
+                    w=w, k=k, p_n=pn, observe_slots=observe_slots, phase=phase
+                )
+                idle += ones
+                # The same single rounded division as sense_frame's ρ̄.
+                rhos.append(ones / observe_slots)
         _metrics.inc("frame.count", len(readers))
         _metrics.inc("frame.slots.idle", idle)
         _metrics.inc("frame.slots.busy", len(readers) * observe_slots - idle)

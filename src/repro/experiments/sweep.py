@@ -142,9 +142,15 @@ def _dumps(value) -> str:
     )
 
 
-def _normalise(payload):
-    """Round-trip a payload through JSON so hits and misses are identical."""
-    return json.loads(_dumps(payload))
+def _encode(payload) -> tuple[dict, str]:
+    """A payload's canonical JSON text and the payload parsed back from it.
+
+    One ``dumps`` serves both a miss's return value and its cache entry
+    (:meth:`TrialCache.store` splices the text in), so a miss returns
+    exactly what a later hit parses from disk.
+    """
+    text = _dumps(payload)
+    return json.loads(text), text
 
 
 def canonicalise(spec: dict) -> str:
@@ -487,7 +493,14 @@ class TrialCache:
     spec); anything that fails to parse or verify — truncation, corruption,
     a hash collision, a stale token — is discarded and recomputed, never
     trusted.  Writes are atomic (tmp + rename) so concurrent workers and
-    interrupted runs cannot publish partial entries.
+    interrupted runs cannot publish partial entries, and a failed write
+    removes its temp file, so ``stats``/``prune``/``clear`` only ever see
+    whole entries.
+
+    A miss is serialised once (:func:`_encode`; :meth:`store` splices the
+    text in).  Every writer goes through :meth:`store`: :func:`run_sweep`,
+    :func:`execute_point_inline`, :func:`cached_call`, and the service's
+    coalescer, which stores a tick's misses only after answering them.
     """
 
     def __init__(self, directory: str | Path | None = None, *, token: str | None = None):
@@ -549,29 +562,47 @@ class TrialCache:
             pass
         return entry["payload"]
 
-    def store(self, canonical: str, payload) -> None:
+    def store(self, canonical: str, payload, *, text: str | None = None) -> None:
         """Persist one payload (atomically) under its content key.
 
-        The temp name carries the process and the thread id, so two engine
-        threads storing one key never share a temp file.  The directory is
-        created only when a write finds it missing (the first store, or
-        after it was removed), not on every store.
+        ``text`` is the payload's ``_dumps`` text when the caller already
+        has it (:func:`_encode`); the entry is spliced around it, byte for
+        byte the ``_dumps`` of the whole entry, without serialising the
+        payload again.  The temp name carries the process and the thread
+        id, so two engine threads storing one key never share a temp file;
+        a write or rename that fails removes its temp file and raises.  The
+        directory is created only when a write finds it missing (the first
+        store, or after it was removed), not on every store.
         """
+        if text is None:
+            text = _dumps(payload)
+        # _dumps(entry) with sorted keys: format < payload < spec < token.
+        data = (
+            f'{{"format":{_FORMAT},"payload":{text},'
+            f'"spec":{json.dumps(canonical)},"token":{json.dumps(self.token)}}}'
+        ).encode()
         path = self._path(canonical)
-        entry = {
-            "format": _FORMAT,
-            "token": self.token,
-            "spec": canonical,
-            "payload": payload,
-        }
-        text = _dumps(entry)
-        tmp = path.with_name(f"{path.name}.tmp{os.getpid()}.{threading.get_ident()}")
+        tmp = f"{path}.tmp{os.getpid()}.{threading.get_ident()}"
+        flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
         try:
-            tmp.write_text(text)
+            fd = os.open(tmp, flags, 0o666)
         except FileNotFoundError:
             self.directory.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(text)
-        os.replace(tmp, path)
+            fd = os.open(tmp, flags, 0o666)
+        try:
+            try:
+                view = memoryview(data)
+                while view:
+                    view = view[os.write(fd, view):]
+            finally:
+                os.close(fd)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
         self.stores += 1
         _metrics.inc("sweep.cache.store")
 
@@ -1029,9 +1060,9 @@ def run_sweep(
                 # metrics snapshots) back into the parent's trace file.
                 _trace.merge_worker_traces()
             for canonical, payload in zip(missing, payloads):
-                payload = _normalise(payload)
+                payload, text = _encode(payload)
                 if cache is not None:
-                    cache.store(canonical, payload)
+                    cache.store(canonical, payload, text=text)
                 results[canonical] = payload
         if cache is not None:
             cache.persist_metrics()
@@ -1078,9 +1109,9 @@ def execute_point_inline(
             if persist_metrics:
                 cache.persist_metrics()
             return payload, True
-    payload = _normalise(_execute_canonical(point.canonical))
+    payload, text = _encode(_execute_canonical(point.canonical))
     if cache is not None:
-        cache.store(point.canonical, payload)
+        cache.store(point.canonical, payload, text=text)
         if persist_metrics:
             cache.persist_metrics()
     return payload, False
@@ -1103,8 +1134,8 @@ def cached_call(spec: dict, compute: Callable[[], dict], *, cache: TrialCache | 
         if payload is not None:
             cache.persist_metrics()
             return payload
-    payload = _normalise(compute())
+    payload, text = _encode(compute())
     if cache is not None:
-        cache.store(canonical, payload)
+        cache.store(canonical, payload, text=text)
         cache.persist_metrics()
     return payload

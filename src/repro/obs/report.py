@@ -363,9 +363,13 @@ def render_summary(summary: dict) -> str:
     if kernels:
         lines.append("")
         lines.append(f"{'native kernel':>16} {'calls':>8} {'wall ms':>12} {'max ms':>12}")
+        # A kernel's call counter, where it has one, is the true call count:
+        # the analytic scatter's timing samples are one per metered round.
+        counters = summary.get("counters") or {}
         for name, h in sorted(kernels.items(), key=lambda kv: -kv[1]["sum"]):
+            calls = counters.get(f"kernel.native.{name}", h["count"])
             lines.append(
-                f"{name:>16} {h['count']:>8} {h['sum'] * 1e3:>12.2f} "
+                f"{name:>16} {calls:>8.0f} {h['sum'] * 1e3:>12.2f} "
                 f"{h['max'] * 1e3:>12.2f}"
             )
     return "\n".join(lines)

@@ -65,6 +65,7 @@ import os
 import platform
 import subprocess
 import tempfile
+import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -81,6 +82,7 @@ __all__ = [
     "aloha_empty_native",
     "bfce_counts_native",
     "analytic_scatter_native",
+    "scatter_round",
     "hll_update_native",
     "hll_merge_native",
 ]
@@ -644,15 +646,65 @@ def _threads_for(items: int, events: int) -> int:
     return max(1, min(effective_threads(), items))
 
 
-def _record_call(kernel: str, threads: int, seconds: float) -> None:
-    """Per-block observability: thread fan-out + kernel wall time."""
+def _record_call(
+    kernel: str, threads: int, seconds: float, calls: int = 1, threaded: int | None = None
+) -> None:
+    """Kernel observability: thread fan-out, call counts, one wall-time sample.
+
+    One call by default (threaded when it fanned out); a metered round
+    (:func:`scatter_round`) passes its ``calls``/``threaded`` totals, its
+    last call's ``threads`` and its summed ``seconds``.
+    """
     from ..obs import metrics as _metrics
 
+    if threaded is None:
+        threaded = calls if threads > 1 else 0
     _metrics.gauge("native.threads_used", threads)
-    _metrics.inc("kernel.native.calls")
-    if threads > 1:
-        _metrics.inc("kernel.native.calls_threaded")
+    _metrics.inc("kernel.native.calls", calls)
+    if threaded:
+        _metrics.inc("kernel.native.calls_threaded", threaded)
     _metrics.observe(f"kernel.native.{kernel}.seconds", seconds)
+
+
+class _ScatterTally(threading.local):
+    """This thread's open :func:`scatter_round` (``open`` is False outside one)."""
+
+    open = False
+    calls = threaded = threads = 0
+    seconds = 0.0
+
+
+_scatter_tally = _ScatterTally()
+
+
+def _record_scatter(calls: int, threaded: int, threads: int, seconds: float) -> None:
+    from ..obs import metrics as _metrics
+
+    _metrics.inc("kernel.native.analytic_scatter", calls)
+    _record_call("analytic_scatter", threads, seconds, calls, threaded)
+
+
+@contextmanager
+def scatter_round():
+    """Meter every :func:`analytic_scatter_native` call of the block once.
+
+    Inside the block a call only tallies itself; on exit the round writes
+    each metric once — ``kernel.native.analytic_scatter``,
+    ``kernel.native.calls`` and ``kernel.native.calls_threaded`` carry the
+    exact call totals, ``native.threads_used`` the last call's fan-out, and
+    ``kernel.native.analytic_scatter.seconds`` gets one sample, the round's
+    summed kernel wall time.
+    """
+    tally = _scatter_tally
+    tally.open = True
+    tally.calls = tally.threaded = 0
+    tally.seconds = 0.0
+    try:
+        yield
+    finally:
+        tally.open = False
+        if tally.calls:
+            _record_scatter(tally.calls, tally.threaded, tally.threads, tally.seconds)
 
 
 def _build_dir() -> Path:
@@ -944,7 +996,15 @@ def analytic_scatter_native(seed: int, balls: int, n_slots: int) -> np.ndarray:
         seed, balls, n_slots, counts.ctypes.data,
         None if scratch is None else scratch.ctypes.data, nt,
     )
-    _record_call("analytic_scatter", nt, time.perf_counter() - t0)
+    seconds = time.perf_counter() - t0
+    tally = _scatter_tally
+    if tally.open:
+        tally.calls += 1
+        tally.threaded += nt > 1
+        tally.threads = nt
+        tally.seconds += seconds
+    else:
+        _record_scatter(1, int(nt > 1), nt, seconds)
     return counts
 
 

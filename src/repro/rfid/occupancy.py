@@ -100,7 +100,8 @@ def scatter_counts(scatter_seed: int, balls: int, n_slots: int) -> np.ndarray:
     if balls < 0:
         raise ValueError("balls must be non-negative")
     if _native.get_lib() is not None:
-        _metrics.inc("kernel.native.analytic_scatter")
+        # Meters itself as ``kernel.native.analytic_scatter``, per call or
+        # per round (:func:`~repro.rfid._native.scatter_round`).
         return _native.analytic_scatter_native(scatter_seed, balls, n_slots)
     _metrics.inc("kernel.numpy.analytic_scatter")
     counts = np.zeros(n_slots, dtype=np.int32)

@@ -25,10 +25,19 @@ Threading: futures are created, resolved and awaited on the event loop;
 engine work (and its ``service.request > service.coalesce >
 service.engine`` spans — the tracer's span stack is thread-local) runs
 inside the executor thread.  Each tick costs one executor job and one loop
-wakeup: when the job ends, a single loop callback delivers every group's
-records.  The reason is the GIL: one job (and one loop wakeup) per
-*group* handed the GIL between the loop and the engine threads about once
-per request.  On the serve-cold benchmark (2-vCPU host) that cost 40–45
+wakeup.  A job is *compute → deliver → persist*: it runs every group,
+hands all outcomes to the loop in one ``call_soon_threadsafe`` callback,
+and only then writes the tick's misses to the :class:`TrialCache` — no
+response waits on a disk write (``service.engine.seconds`` covers the
+compute alone).  A store that fails after delivery is logged and counted
+as ``service.cache.store_failed``, never an error response; a crash
+between delivery and persist loses only cache entries.  Until a store
+lands, a later tick's lookup of that entry waits for it, so an answered
+(config, seed) run is served from memory or disk, never recomputed, even
+after the memory LRU evicts it.  ``stop()`` drains the executor, so every
+computed entry is on disk after shutdown.  The reason for one job per
+tick is the GIL: one job (and one loop wakeup) per *group* handed the GIL
+between the loop and the engine threads about once per request.  On the serve-cold benchmark (2-vCPU host) that cost 40–45
 voluntary context switches and 2.2–3.5 ms of server CPU per request,
 0.4–0.5 ms of it on the loop thread; one job per tick costs 0.2–0.6
 switches and 1.0–1.3 ms, 0.12–0.17 ms on the loop.  The trade-off is
@@ -40,6 +49,8 @@ observed once per tick) shows how many groups shared a job.
 from __future__ import annotations
 
 import asyncio
+import logging
+import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import Executor
@@ -51,6 +62,8 @@ from .protocol import ServiceError
 from .zones import ZoneConfig
 
 __all__ = ["RequestCoalescer"]
+
+_log = logging.getLogger(__name__)
 
 #: Default flush tick: long enough to collect a concurrent burst, well
 #: under the 50 ms p99 SLO even stacked on an engine call.
@@ -70,6 +83,31 @@ class _Group:
         self.config = config
         # seed -> list of futures awaiting that seed's record
         self.waiters: dict[int, list[asyncio.Future]] = {}
+
+
+class _TickCache:
+    """The disk cache as one tick job sees it.
+
+    Lookups first wait out a store of the same entry still in flight from
+    an earlier tick; stores are held back, to be written once the tick's
+    responses are out.
+    """
+
+    __slots__ = ("cache", "landing", "held")
+
+    def __init__(self, cache: TrialCache, landing: dict) -> None:
+        self.cache = cache
+        self.landing = landing  # canonical -> Event set once its store ended
+        self.held: list[tuple] = []
+
+    def load(self, canonical: str):
+        pending = self.landing.get(canonical)
+        if pending is not None:
+            pending.wait()
+        return self.cache.load(canonical)
+
+    def store(self, canonical: str, payload, *, text: str | None = None) -> None:
+        self.held.append((canonical, payload, text))
 
 
 class RequestCoalescer:
@@ -92,6 +130,7 @@ class RequestCoalescer:
         self._pending: dict[str, _Group] = {}
         self._flush_handle: asyncio.TimerHandle | None = None
         self._memory: OrderedDict[tuple[str, int], dict] = OrderedDict()
+        self._landing: dict[str, threading.Event] = {}
         self.batches = 0
         self.engine_calls = 0
         self.memory_hits = 0
@@ -140,27 +179,47 @@ class RequestCoalescer:
             _metrics.observe("service.coalesce.batch", float(len(seeds)))
             batches.append((group, seeds))
         _metrics.observe("service.coalesce.job_groups", float(len(batches)))
-        job = asyncio.get_running_loop().run_in_executor(
-            self.executor, self._run_tick_sync, batches
+        self.executor.submit(
+            self._run_tick_sync, batches, asyncio.get_running_loop()
         )
-        job.add_done_callback(lambda f: self._deliver(batches, f))
 
-    def _run_tick_sync(self, batches) -> list:
-        """Executor thread: run a tick's groups in order, one job.
+    def _run_tick_sync(self, batches, loop) -> None:
+        """Executor thread: compute a tick's groups, deliver, then persist.
 
-        Returns one outcome per group: its records, or the exception it
-        raised — a failing group fails only its own waiters.
+        Each group's outcome is its records, or the exception it raised — a
+        failing group fails only its own waiters.  One loop callback hands
+        every outcome over; the tick's misses are written to disk after it.
         """
+        cache = None if self.cache is None else _TickCache(self.cache, self._landing)
         outcomes: list = []
         for group, seeds in batches:
             try:
-                outcomes.append(self._run_group_sync(group.config, seeds))
+                outcomes.append(self._run_group_sync(group.config, seeds, cache))
             except Exception as exc:  # noqa: BLE001 — delivered to the group
                 outcomes.append(exc)
-        return outcomes
+        held = [] if cache is None else cache.held
+        landed = threading.Event()
+        for canonical, _, _ in held:
+            self._landing[canonical] = landed
+        try:
+            loop.call_soon_threadsafe(self._deliver, batches, outcomes)
+        except RuntimeError:  # loop closed: nobody is waiting any more
+            pass
+        try:
+            for canonical, payload, text in held:
+                try:
+                    self.cache.store(canonical, payload, text=text)
+                except Exception:  # noqa: BLE001 — the answer is already out
+                    _log.exception("cache store failed after delivery")
+                    _metrics.inc("service.cache.store_failed")
+        finally:
+            landed.set()
+            for canonical, _, _ in held:
+                if self._landing.get(canonical) is landed:
+                    del self._landing[canonical]
 
     # ------------------------------------------------------------------
-    def _run_group_sync(self, config: ZoneConfig, seeds: list[int]) -> list[dict]:
+    def _run_group_sync(self, config: ZoneConfig, seeds: list[int], cache) -> list[dict]:
         """Executor thread: run one group's seeds, minimal engine calls.
 
         Sorted unique seeds are split into contiguous runs; each run is one
@@ -186,7 +245,7 @@ class RequestCoalescer:
                     trials=run_len,
                     base_seed=run_start,
                 ):
-                    payload, was_hit = execute_point_inline(point, cache=self.cache)
+                    payload, was_hit = execute_point_inline(point, cache=cache)
                 self.engine_calls += 1
                 _metrics.inc("service.engine.calls")
                 if was_hit:
@@ -205,10 +264,10 @@ class RequestCoalescer:
         _metrics.observe("service.engine.seconds", time.perf_counter() - started)
         return records
 
-    def _deliver(self, batches, job) -> None:
+    def _deliver(self, batches, outcomes) -> None:
         """Loop thread: one callback fans every group of a tick job out to
         its waiters — the group's records, or the exception it raised."""
-        for (group, seeds), outcome in zip(batches, job.result()):
+        for (group, seeds), outcome in zip(batches, outcomes):
             failed = isinstance(outcome, Exception)
             key = group.config.group_key()
             for index, seed in enumerate(seeds):

@@ -18,7 +18,9 @@ per tick, however many zone groups the tick holds, and one loop callback
 delivers the whole tick: every handoff between the loop and an engine
 thread is a GIL handoff and a context switch, and per-group jobs cost
 40–45 voluntary switches and twice the CPU per cold request (see
-:mod:`.coalescer`).  In exchange, a slow group delays the other groups of
+:mod:`.coalescer`).  The job writes the tick's cache entries only after
+that callback, so no response waits on the disk; ``stop()`` drains the
+executor, so every entry is on disk after shutdown.  In exchange, a slow group delays the other groups of
 its tick (head-of-line blocking).  Zone state, admission counters and the
 coalescer's pending map are touched only from the loop thread, so the
 server needs no locks beyond the per-connection write lock that keeps

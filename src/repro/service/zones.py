@@ -174,23 +174,30 @@ class ZoneConfig:
         Requests from zones with equal group keys may legally share one
         batched engine call (their specs differ only in seed); tracker
         fields are excluded — tracking is post-processing on the estimate.
+        The key is built once per config (the loop asks for it on every
+        request) and kept outside the dataclass fields, so it never enters
+        equality, hashing or :meth:`to_dict`.
         """
-        return json.dumps(
-            {
-                "n": int(self.n),
-                "distribution": self.distribution,
-                "eps": self.eps,
-                "delta": self.delta,
-                "engine": self.engine,
-                "w": self.w,
-                "persistence_mode": self.persistence_mode,
-                "pop_seed": self.pop_seed,
-                "rn_source": self.rn_source,
-                "rn_seed": self.rn_seed,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        key = self.__dict__.get("_group_key")
+        if key is None:
+            key = json.dumps(
+                {
+                    "n": int(self.n),
+                    "distribution": self.distribution,
+                    "eps": self.eps,
+                    "delta": self.delta,
+                    "engine": self.engine,
+                    "w": self.w,
+                    "persistence_mode": self.persistence_mode,
+                    "pop_seed": self.pop_seed,
+                    "rn_source": self.rn_source,
+                    "rn_seed": self.rn_seed,
+                },
+                sort_keys=True,
+                separators=(",", ":"),
+            )
+            object.__setattr__(self, "_group_key", key)
+        return key
 
     def make_tracker(self):
         """A fresh tracker instance per the config (None when stateless)."""
