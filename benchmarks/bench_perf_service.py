@@ -303,13 +303,13 @@ async def _bench(
         spike_sleep = 0.06
         server.set_slo(SLOSpec(p99_ms=spike_slo_p99_ms))
         alerts_before = len(server.telemetry.alerts)
-        original_run = server.coalescer._run_group_sync
+        original_run = server.coalescer._run_tick_sync
 
         def spiked_run(*args, _orig=original_run):
             time.sleep(spike_sleep)
             return _orig(*args)
 
-        server.coalescer._run_group_sync = spiked_run
+        server.coalescer._run_tick_sync = spiked_run
         stop_spike = asyncio.Event()
         spike_requests = 0
 
@@ -367,7 +367,7 @@ async def _bench(
         finally:
             stop_spike.set()
             await asyncio.gather(load_task, return_exceptions=True)
-            server.coalescer._run_group_sync = original_run
+            server.coalescer._run_tick_sync = original_run
             server.set_slo(None)
 
         # Phase 4c: conservation.  After every phase above has drained,

@@ -27,10 +27,10 @@ reader's observed idle ratio ρ̄.  There are three:
   per seed;
 * :func:`analytic_sense` samples every active
   :class:`~repro.rfid.occupancy.AnalyticReader`'s frame from that reader's
-  own stream in one lean pass per round (no ``FrameResult``, counters and
-  kernel metrics written once per round), so
-  :meth:`BFCE.estimate_analytic_many` is bit-identical to one
-  :meth:`BFCE.estimate_analytic` per seed under any channel.
+  own stream in one lean round (no ``FrameResult``, counters and kernel
+  metrics written once per round), so :meth:`BFCE.estimate_analytic_many`
+  is bit-identical to one :meth:`BFCE.estimate_analytic` per seed under any
+  channel, and readers of different ``n`` can share one drive.
 
 Everything is metered on the readers' :class:`~repro.timing.TimeLedger`; the
 returned :class:`BFCEResult` carries the estimate, the per-phase diagnostics
@@ -48,9 +48,9 @@ import numpy as np
 from ..obs import metrics as _metrics
 from ..obs.events import ledger_crosscheck
 from ..obs.trace import enabled as _tracing, event as _event, ledger_phase_cums, span as _span
-from ..rfid._native import scatter_round
 from ..rfid.channel import Channel, PerfectChannel
 from ..rfid.frames import run_bfce_frame_batch
+from ..rfid.occupancy import AnalyticReader, sense_round
 from ..rfid.protocol import bfce_phase_message
 from ..rfid.reader import Reader
 from ..rfid.tags import TagPopulation
@@ -229,38 +229,25 @@ def batched_sense(population: TagPopulation, config: BFCEConfig) -> Sense:
 
 
 def analytic_sense(config: BFCEConfig) -> Sense:
-    """Sample every active analytic reader's frame in one lean pass.
+    """Sample every active analytic reader's frame in one lean round.
 
     Per reader this is :func:`per_reader_sense` over
-    :meth:`~repro.rfid.occupancy.AnalyticReader.sense_frame` — broadcast,
-    ``k`` seeds drawn (and unused) so the stream stays aligned, then the
-    shared :meth:`~repro.rfid.occupancy.AnalyticReader.sample_frame` step
-    (sampling, channel, uplink metering) — without building a
-    ``FrameResult`` or a per-frame span, and with the frame counters and
-    the scatter kernel's metrics (:func:`~repro.rfid._native.scatter_round`)
-    written once per round, as exact totals.  Each reader draws only from
-    its own stream, so any channel is sound.
+    :meth:`~repro.rfid.occupancy.AnalyticReader.sense_frame`, run by
+    :func:`~repro.rfid.occupancy.sense_round` without the per-frame
+    wrappers: no ``FrameResult``, span or array, and the frame counters and
+    kernel metrics written once per round.  Each reader draws only from its
+    own stream, so any channel is sound.
     """
     message = _phase_message(config)
     w, k = config.w, config.k
 
     def sense(readers, pns, observe_slots, phase):
-        rhos = []
-        idle = 0
-        with scatter_round():
-            for reader, pn in zip(readers, pns):
-                reader.broadcast(message, phase=phase)
-                reader.fresh_seeds(k)
-                _, _, ones = reader.sample_frame(
-                    w=w, k=k, p_n=pn, observe_slots=observe_slots, phase=phase
-                )
-                idle += ones
-                # The same single rounded division as sense_frame's ρ̄.
-                rhos.append(ones / observe_slots)
-        _metrics.inc("frame.count", len(readers))
-        _metrics.inc("frame.slots.idle", idle)
-        _metrics.inc("frame.slots.busy", len(readers) * observe_slots - idle)
-        return rhos
+        idle = sense_round(
+            readers, pns, w=w, k=k, observe_slots=observe_slots, phase=phase,
+            message=message,
+        )
+        # The same single rounded division as sense_frame's ρ̄.
+        return [ones / observe_slots for ones in idle]
 
     return sense
 
@@ -477,7 +464,7 @@ class BFCE:
 
     def estimate_analytic_many(
         self,
-        n: int,
+        n,
         seeds,
         *,
         channel: Channel | None = None,
@@ -485,24 +472,29 @@ class BFCE:
     ) -> list[BFCEResult]:
         """:meth:`estimate_analytic` once per seed, all trials in lockstep.
 
-        Equivalent bit for bit to ``[self.estimate_analytic(n, seed=s,
-        channel=channel, persistence_mode=persistence_mode) for s in
-        seeds]`` under any channel: every reader keeps its own stream and
-        ledger, and each round samples all active readers' frames in one
+        ``n`` is one cardinality for every seed, or a sequence giving each
+        seed its own (one drive then serves readers of many populations:
+        only the config and the requirement are shared).  Equivalent bit
+        for bit to ``[self.estimate_analytic(n_s, seed=s, channel=channel,
+        persistence_mode=persistence_mode) for n_s, s in zip(ns, seeds)]``
+        under any channel: every reader keeps its own stream and ledger,
+        and each round samples all active readers' frames in one
         :func:`analytic_sense` call.
         """
-        from ..rfid.occupancy import AnalyticReader
-
         channel = channel if channel is not None else PerfectChannel()
+        seeds = [int(s) for s in seeds]
+        ns = [int(n)] * len(seeds) if np.ndim(n) == 0 else [int(x) for x in n]
+        if len(ns) != len(seeds):
+            raise ValueError(f"{len(ns)} cardinalities for {len(seeds)} seeds")
         readers = [
             AnalyticReader(
-                int(n),
-                seed=int(s),
+                n_s,
+                seed=s,
                 channel=channel,
                 persistence_mode=persistence_mode,
                 pn_denom=self.config.pn_denom,
             )
-            for s in seeds
+            for n_s, s in zip(ns, seeds)
         ]
         return self._drive(readers, analytic_sense(self.config), "analytic")
 
@@ -515,7 +507,7 @@ class BFCE:
         :class:`~repro.rfid.occupancy.AnalyticReader`, which runs through
         :func:`analytic_sense` exactly as :meth:`estimate_analytic` does.
         """
-        if type(reader).__name__ == "AnalyticReader":
+        if type(reader) is AnalyticReader:
             return self._drive([reader], analytic_sense(self.config), "analytic")[0]
         return self._drive([reader], per_reader_sense(self.config), "serial")[0]
 

@@ -10,6 +10,7 @@ Everything is deterministic given the base seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from ..baselines.base import CardinalityEstimator
 from ..baselines.lof import LOF
@@ -21,15 +22,17 @@ from ..core.config import BFCEConfig, DEFAULT_CONFIG
 from ..obs import metrics as _metrics
 from ..obs.events import engine_fallback
 from ..obs.trace import span as _span
-from ..rfid.channel import Channel
+from ..rfid.channel import Channel, NoisyChannel, PerfectChannel
 from ..rfid.tags import TagPopulation
 
 __all__ = [
+    "AnalyticRun",
     "TrialRecord",
     "run_trials",
     "baseline_trial_records",
     "bfce_trial_records",
     "run_bfce_trials",
+    "run_bfce_analytic_runs",
     "run_bfce_trials_analytic",
 ]
 
@@ -193,6 +196,97 @@ def run_bfce_trials(
     )
 
 
+@dataclass(frozen=True)
+class AnalyticRun:
+    """One run of contiguous seeds ``base_seed …`` on the analytic BFCE tier."""
+
+    n: int
+    trials: int
+    base_seed: int = 0
+    eps: float = 0.05
+    delta: float = 0.05
+    distribution: str = ""
+    config: BFCEConfig = DEFAULT_CONFIG
+    channel: Channel | None = None
+    persistence_mode: str = "event"
+
+    def drive_key(self) -> tuple:
+        """Runs with equal keys share one lockstep drive.
+
+        Every reader of a drive senses through the first run's channel, so
+        channels match by value only for the stateless built-in models; any
+        other channel object shares a drive only with itself.
+        """
+        channel = self.channel
+        if type(channel) not in (type(None), PerfectChannel, NoisyChannel):
+            channel = id(channel)
+        return (self.config, self.eps, self.delta, channel, self.persistence_mode)
+
+
+def _drive_runs(runs: Sequence[AnalyticRun], drives: list[int]) -> list[list[TrialRecord]]:
+    """One lockstep drive over every reader of ``runs`` (one drive key)."""
+    first = runs[0]
+    bfce = BFCE(config=first.config, requirement=AccuracyRequirement(first.eps, first.delta))
+    ns = [run.n for run in runs for _ in range(run.trials)]
+    seeds = [seed for run in runs for seed in range(run.base_seed, run.base_seed + run.trials)]
+    drives.append(len(seeds))
+    results = bfce.estimate_analytic_many(
+        ns, seeds, channel=first.channel, persistence_mode=first.persistence_mode
+    )
+    records, start = [], 0
+    for run in runs:
+        records.append(
+            bfce_trial_records(
+                results[start:start + run.trials],
+                n_true=run.n,
+                base_seed=run.base_seed,
+                eps=run.eps,
+                delta=run.delta,
+                distribution=run.distribution,
+                engine="analytic",
+            )
+        )
+        start += run.trials
+    return records
+
+
+def run_bfce_analytic_runs(
+    runs: Sequence[AnalyticRun],
+) -> tuple[list[list[TrialRecord] | Exception], list[int]]:
+    """Every run's records, with one lockstep drive per drive key.
+
+    Runs that share a config, an (ε, δ) requirement, a channel and a
+    persistence mode advance all their readers through one
+    :meth:`~repro.core.bfce.BFCE.estimate_analytic_many` drive; every
+    reader keeps its own stream and ledger, so each run's records are
+    bit-identical to running it alone.  A drive that raises is re-driven
+    one run at a time, so only the runs that raise fail.  Returns the
+    outcomes aligned with ``runs`` (a record list, or the exception the run
+    raised) and the readers of each drive, in drive order.
+    """
+    outcomes: list = [None] * len(runs)
+    drives: list[int] = []
+    groups: dict[tuple, list[int]] = {}
+    for index, run in enumerate(runs):
+        groups.setdefault(run.drive_key(), []).append(index)
+    for indices in groups.values():
+        try:
+            records = _drive_runs([runs[i] for i in indices], drives)
+        except Exception as exc:  # noqa: BLE001 — isolated per run below
+            if len(indices) == 1:
+                outcomes[indices[0]] = exc
+                continue
+            records = []
+            for i in indices:
+                try:
+                    records.extend(_drive_runs([runs[i]], drives))
+                except Exception as run_exc:  # noqa: BLE001 — this run's outcome
+                    records.append(run_exc)
+        for i, outcome in zip(indices, records):
+            outcomes[i] = outcome
+    return outcomes, drives
+
+
 def run_bfce_trials_analytic(
     population: TagPopulation | int,
     *,
@@ -210,11 +304,11 @@ def run_bfce_trials_analytic(
     ``population`` may be a :class:`~repro.rfid.tags.TagPopulation` (its
     ``persistence_mode`` is honoured; its IDs are ignored) or a plain
     cardinality ``n`` — sweeps at n = 10⁷–10⁸ never materialise an ID
-    array.  All trials run in lockstep through one
-    :meth:`~repro.core.bfce.BFCE.estimate_analytic_many` call, each record
-    bit-identical to a per-seed ``estimate_analytic`` under any channel.
-    Records are exact-in-distribution counterparts of the event engines'
-    (never bit-identical); ``extra["engine"] = "analytic"``.
+    array.  The one-run case of :func:`run_bfce_analytic_runs`: all trials
+    run in lockstep through one drive, each record bit-identical to a
+    per-seed ``estimate_analytic`` under any channel.  Records are
+    exact-in-distribution counterparts of the event engines' (never
+    bit-identical); ``extra["engine"] = "analytic"``.
     """
     if isinstance(population, TagPopulation):
         n_true = population.size
@@ -222,24 +316,21 @@ def run_bfce_trials_analytic(
             persistence_mode = population.persistence_mode
     else:
         n_true = int(population)
-    if persistence_mode is None:
-        persistence_mode = "event"
-    bfce = BFCE(config=config, requirement=AccuracyRequirement(eps, delta))
-    results = bfce.estimate_analytic_many(
-        n_true,
-        range(base_seed, base_seed + trials),
-        channel=channel,
-        persistence_mode=persistence_mode,
-    )
-    return bfce_trial_records(
-        results,
-        n_true=n_true,
+    run = AnalyticRun(
+        n=n_true,
+        trials=trials,
         base_seed=base_seed,
         eps=eps,
         delta=delta,
         distribution=distribution,
-        engine="analytic",
+        config=config,
+        channel=channel,
+        persistence_mode=persistence_mode or "event",
     )
+    [outcome], _ = run_bfce_analytic_runs([run])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def run_trials(

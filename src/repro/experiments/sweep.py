@@ -59,6 +59,7 @@ __all__ = [
     "default_cache_dir",
     "engine_version_token",
     "execute_point_inline",
+    "execute_points_inline",
     "records_from_payload",
     "run_record_sweep",
     "run_sweep",
@@ -68,6 +69,8 @@ _log = logging.getLogger(__name__)
 
 #: On-disk entry format; bump when the entry layout itself changes.
 _FORMAT = 1
+#: Bytes per ``os.read`` of a cache entry (one read covers a served run).
+_READ_CHUNK = 1 << 16
 
 #: Source roots (relative to the ``repro`` package) whose contents define the
 #: engine-version token.  Anything that can change a result belongs here:
@@ -499,7 +502,7 @@ class TrialCache:
 
     A miss is serialised once (:func:`_encode`; :meth:`store` splices the
     text in).  Every writer goes through :meth:`store`: :func:`run_sweep`,
-    :func:`execute_point_inline`, :func:`cached_call`, and the service's
+    :func:`execute_points_inline`, :func:`cached_call`, and the service's
     coalescer, which stores a tick's misses only after answering them.
     """
 
@@ -523,17 +526,28 @@ class TrialCache:
         return self.directory / f"{self.key(canonical)}.json"
 
     def load(self, canonical: str):
-        """The stored payload for ``canonical``, or ``None`` on miss."""
-        path = self._path(canonical)
+        """The stored payload for ``canonical``, or ``None`` on miss.
+
+        The probe is one ``os.open`` of a string path, so a miss — every
+        lookup of a cold service — costs the key hash and one failing
+        system call, with no ``Path`` object or text-mode file built.
+        """
+        path = f"{self.directory}{os.sep}{self.key(canonical)}.json"
         try:
-            raw = path.read_text()
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                chunks = []
+                while chunk := os.read(fd, _READ_CHUNK):
+                    chunks.append(chunk)
+            finally:
+                os.close(fd)
         except OSError:
             self.misses += 1
             _metrics.inc("sweep.cache.miss")
             return None
         entry = None
         try:
-            entry = json.loads(raw)
+            entry = json.loads(b"".join(chunks))
         except ValueError:
             pass
         valid = (
@@ -550,7 +564,7 @@ class TrialCache:
             _metrics.inc("sweep.cache.rejected")
             _log.debug("discarding invalid cache entry %s", path)
             try:
-                path.unlink()
+                os.unlink(path)
             except OSError:
                 pass
             return None
@@ -783,38 +797,71 @@ def records_from_payload(payload: dict):
     return [TrialRecord(**fields) for fields in payload["records"]]
 
 
-def _exec_bfce_trials(spec: dict) -> dict:
-    from ..core.config import DEFAULT_CONFIG, BFCEConfig
-    from .runner import run_bfce_trials, run_bfce_trials_analytic
+def _exec_bfce_runs(specs: Sequence[dict]) -> tuple[list, list[int]]:
+    """Execute ``bfce_trials`` specs together: one drive per drive key.
 
-    config = DEFAULT_CONFIG if spec["config"] is None else BFCEConfig(**spec["config"])
-    if spec["engine"] == "analytic":
-        # The analytic engine never materialises an ID array — n = 10⁸ sweep
-        # points would otherwise cost ~800 MB of tagIDs per worker.
-        records = run_bfce_trials_analytic(
-            spec["n"],
-            trials=spec["trials"],
-            eps=spec["eps"],
-            delta=spec["delta"],
-            base_seed=spec["base_seed"],
-            distribution=spec["distribution"],
-            config=config,
-            channel=_build_channel(spec["channel"]),
-            persistence_mode=spec["persistence_mode"],
-        )
-        return _record_payload(records)
-    records = run_bfce_trials(
-        _spec_population(spec),
-        trials=spec["trials"],
-        eps=spec["eps"],
-        delta=spec["delta"],
-        base_seed=spec["base_seed"],
-        distribution=spec["distribution"],
-        engine=spec["engine"],
-        config=config,
-        channel=_build_channel(spec["channel"]),
-    )
-    return _record_payload(records)
+    Analytic specs go through :func:`~repro.experiments.runner.
+    run_bfce_analytic_runs`, which drives every reader of the specs sharing
+    a config, requirement, channel and persistence mode at once; each event
+    engine spec runs alone.  Returns one outcome per spec — its payload, or
+    the exception it raised — and the readers of each drive.
+    """
+    from ..core.config import DEFAULT_CONFIG, BFCEConfig
+    from .runner import AnalyticRun, run_bfce_analytic_runs, run_bfce_trials
+
+    outcomes: list = [None] * len(specs)
+    drives: list[int] = []
+    runs, analytic = [], []
+    for i, spec in enumerate(specs):
+        try:
+            config = DEFAULT_CONFIG if spec["config"] is None else BFCEConfig(**spec["config"])
+            channel = _build_channel(spec["channel"])
+            if spec["engine"] == "analytic":
+                # The analytic engine never materialises an ID array — n = 10⁸
+                # sweep points would otherwise cost ~800 MB of tagIDs per worker.
+                runs.append(
+                    AnalyticRun(
+                        n=spec["n"],
+                        trials=spec["trials"],
+                        base_seed=spec["base_seed"],
+                        eps=spec["eps"],
+                        delta=spec["delta"],
+                        distribution=spec["distribution"],
+                        config=config,
+                        channel=channel,
+                        persistence_mode=spec["persistence_mode"],
+                    )
+                )
+                analytic.append(i)
+                continue
+            drives.append(spec["trials"])
+            records = run_bfce_trials(
+                _spec_population(spec),
+                trials=spec["trials"],
+                eps=spec["eps"],
+                delta=spec["delta"],
+                base_seed=spec["base_seed"],
+                distribution=spec["distribution"],
+                engine=spec["engine"],
+                config=config,
+                channel=channel,
+            )
+            outcomes[i] = _record_payload(records)
+        except Exception as exc:  # noqa: BLE001 — this spec's outcome
+            outcomes[i] = exc
+    records, analytic_drives = run_bfce_analytic_runs(runs)
+    drives.extend(analytic_drives)
+    for i, outcome in zip(analytic, records):
+        outcomes[i] = outcome if isinstance(outcome, Exception) else _record_payload(outcome)
+    return outcomes, drives
+
+
+def _exec_bfce_trials(spec: dict) -> dict:
+    """One ``bfce_trials`` spec: the one-spec case of :func:`_exec_bfce_runs`."""
+    [outcome], _ = _exec_bfce_runs([spec])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _exec_baseline_trials(spec: dict) -> dict:
@@ -1084,6 +1131,61 @@ def run_record_sweep(
     ]
 
 
+def execute_points_inline(
+    points: Sequence[SweepPoint],
+    *,
+    cache: TrialCache | None = None,
+) -> tuple[list[tuple[dict | Exception, bool]], list[int]]:
+    """Execute sweep points in the calling thread, through the cache.
+
+    The estimation service's tick path: every point is looked up first, then
+    all ``bfce_trials`` misses execute together (:func:`_exec_bfce_runs`:
+    one lockstep drive per config, requirement, channel and persistence
+    mode) and any other kind alone; each miss is encoded once
+    (:func:`_encode`) and stored.  No process pool, no scheduler span, no
+    metrics fold.  Returns per point ``(payload, cache_hit)`` — the payload
+    is the exception when its point raised, and a failing point fails only
+    itself — and the readers of each engine drive.  Payloads are
+    JSON-normalised exactly like :func:`run_sweep`'s, so a served response
+    is bit-identical whether it came from the cache, this call, or a full
+    sweep.
+    """
+    if cache is None and cache_enabled():
+        cache = TrialCache()
+    found: dict[str, tuple | None] = {}
+    for point in points:
+        canonical = point.canonical
+        if canonical not in found:
+            payload = cache.load(canonical) if cache is not None else None
+            found[canonical] = None if payload is None else (payload, True)
+    missing = [canonical for canonical, hit in found.items() if hit is None]
+    drives: list[int] = []
+    if missing:
+        specs = [json.loads(canonical) for canonical in missing]
+        trials = [i for i, spec in enumerate(specs) if spec["kind"] == "bfce_trials"]
+        outcomes: list = [None] * len(specs)
+        if trials:
+            with _trace.span("sweep.point", kind="bfce_trials", points=len(trials)):
+                computed, drives = _exec_bfce_runs([specs[i] for i in trials])
+            for i, outcome in zip(trials, computed):
+                outcomes[i] = outcome
+        for i, spec in enumerate(specs):
+            if spec["kind"] != "bfce_trials":
+                try:
+                    with _trace.span("sweep.point", kind=spec["kind"]):
+                        outcomes[i] = _EXECUTORS[spec["kind"]](spec)
+                except Exception as exc:  # noqa: BLE001 — this point's outcome
+                    outcomes[i] = exc
+        _trace.flush()
+        for canonical, outcome in zip(missing, outcomes):
+            if not isinstance(outcome, Exception):
+                outcome, text = _encode(outcome)
+                if cache is not None:
+                    cache.store(canonical, outcome, text=text)
+            found[canonical] = (outcome, False)
+    return [found[point.canonical] for point in points], drives
+
+
 def execute_point_inline(
     point: SweepPoint,
     *,
@@ -1092,29 +1194,21 @@ def execute_point_inline(
 ) -> tuple[dict, bool]:
     """Execute one sweep point in the calling thread, through the cache.
 
-    The estimation service's request path: no process pool, no scheduler
-    span, no per-call metrics fold (a server folding the cumulative
-    snapshot file on every request would turn each estimate into a disk
-    read-modify-write — pass ``persist_metrics=True`` or call
-    ``cache.persist_metrics()`` periodically instead).  Returns
-    ``(payload, cache_hit)``; the payload is JSON-normalised exactly like
-    :func:`run_sweep`'s, so a served response is bit-identical whether it
-    came from the cache, this call, or a full sweep.
+    The one-point case of :func:`execute_points_inline`; a point that
+    raises raises here.  No per-call metrics fold by default (a server
+    folding the cumulative snapshot file on every request would turn each
+    estimate into a disk read-modify-write — pass ``persist_metrics=True``
+    or call ``cache.persist_metrics()`` periodically instead).  Returns
+    ``(payload, cache_hit)``.
     """
     if cache is None and cache_enabled():
         cache = TrialCache()
-    if cache is not None:
-        payload = cache.load(point.canonical)
-        if payload is not None:
-            if persist_metrics:
-                cache.persist_metrics()
-            return payload, True
-    payload, text = _encode(_execute_canonical(point.canonical))
-    if cache is not None:
-        cache.store(point.canonical, payload, text=text)
-        if persist_metrics:
-            cache.persist_metrics()
-    return payload, False
+    [(payload, hit)], _ = execute_points_inline([point], cache=cache)
+    if isinstance(payload, Exception):
+        raise payload
+    if persist_metrics and cache is not None:
+        cache.persist_metrics()
+    return payload, hit
 
 
 def cached_call(spec: dict, compute: Callable[[], dict], *, cache: TrialCache | None = None):

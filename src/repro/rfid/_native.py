@@ -82,6 +82,7 @@ __all__ = [
     "aloha_empty_native",
     "bfce_counts_native",
     "analytic_scatter_native",
+    "analytic_scatter_into",
     "scatter_round",
     "hll_update_native",
     "hll_merge_native",
@@ -535,7 +536,7 @@ _U8P = ctypes.POINTER(ctypes.c_uint8)
 
 _lib: ctypes.CDLL | None = None
 #: The same library through a ``PyDLL`` handle, whose calls keep the GIL
-#: (see :func:`analytic_scatter_native`).
+#: (see :func:`analytic_scatter_into`).
 _gil_lib: ctypes.PyDLL | None = None
 _build_failed = False
 
@@ -686,7 +687,7 @@ def _record_scatter(calls: int, threaded: int, threads: int, seconds: float) -> 
 
 @contextmanager
 def scatter_round():
-    """Meter every :func:`analytic_scatter_native` call of the block once.
+    """Meter every :func:`analytic_scatter_into` call of the block once.
 
     Inside the block a call only tallies itself; on exit the round writes
     each metric once — ``kernel.native.analytic_scatter``,
@@ -973,19 +974,31 @@ def analytic_scatter_native(seed: int, balls: int, n_slots: int) -> np.ndarray:
     """C fast path of the analytic uniform ball scatter, one frame.
 
     Returns the int32 counts of ``balls`` balls over ``n_slots`` slots,
-    identical to the NumPy path of :func:`repro.rfid.occupancy.scatter_counts`.
-    A call of at least ``_MT_MIN_EVENTS`` balls threads over disjoint ball
-    ranges, with per-thread partial rows merged by exact integer addition
-    (identical counts at every thread count), and releases the GIL.  A
-    smaller call runs on one thread through the ``PyDLL`` handle, which
-    keeps the GIL: it finishes sooner than a GIL handoff to another thread
-    and back would.
+    identical to the NumPy path of :func:`repro.rfid.occupancy.scatter_counts`
+    (a new array filled by :func:`analytic_scatter_into`).
+    """
+    counts = np.empty(n_slots, dtype=np.int32)
+    analytic_scatter_into(counts.ctypes.data, seed, balls, n_slots)
+    return counts
+
+
+def analytic_scatter_into(address: int, seed: int, balls: int, n_slots: int) -> None:
+    """Scatter ``balls`` balls over the ``n_slots`` int32 slots at ``address``.
+
+    The one native scatter call: the row at ``address`` (contiguous int32,
+    ``n_slots`` long, overwritten) ends up identical to the NumPy path of
+    :func:`repro.rfid.occupancy.scatter_counts`.  A call of at least
+    ``_MT_MIN_EVENTS`` balls threads over disjoint ball ranges, with
+    per-thread partial rows merged by exact integer addition (identical
+    counts at every thread count), and releases the GIL.  A smaller call
+    runs on one thread through the ``PyDLL`` handle, which keeps the GIL:
+    it finishes sooner than a GIL handoff to another thread and back would.
+    Inside a :func:`scatter_round` the call only tallies itself.
     """
     if balls >= 1 << 31:
         raise ValueError("per-frame ball count must fit int32")
     if _lib is None:
         get_lib()
-    counts = np.empty(n_slots, dtype=np.int32)
     if balls < _MT_MIN_EVENTS:
         nt, scatter, scratch = 1, _gil_lib.analytic_scatter_balls, None
     else:
@@ -993,7 +1006,7 @@ def analytic_scatter_native(seed: int, balls: int, n_slots: int) -> np.ndarray:
         scratch = np.empty((nt - 1, n_slots), dtype=np.int32)
     t0 = time.perf_counter()
     scatter(
-        seed, balls, n_slots, counts.ctypes.data,
+        seed, balls, n_slots, address,
         None if scratch is None else scratch.ctypes.data, nt,
     )
     seconds = time.perf_counter() - t0
@@ -1005,7 +1018,6 @@ def analytic_scatter_native(seed: int, balls: int, n_slots: int) -> np.ndarray:
         tally.seconds += seconds
     else:
         _record_scatter(1, int(nt > 1), nt, seconds)
-    return counts
 
 
 def hll_update_native(ids: np.ndarray, seed_mix: int, p: int) -> np.ndarray:

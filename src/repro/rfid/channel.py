@@ -36,6 +36,22 @@ class Channel:
         """Return a boolean array: True where the reader senses a busy slot."""
         raise NotImplementedError
 
+    def idle_count(
+        self,
+        counts: np.ndarray,
+        rng: np.random.Generator | int | None = None,
+    ) -> int:
+        """Number of slots the reader senses idle.
+
+        Equal to the idle flags of :meth:`observe` on the same counts, drawing
+        from ``rng`` exactly as :meth:`observe` does, so the two are
+        interchangeable inside a reproducible run.  A channel may override it
+        with a cheaper exact count.  ``counts`` may be a buffer the caller
+        reuses once this returns, so keep no reference to it.
+        """
+        busy = self.observe(counts, rng=rng)
+        return int(busy.size - np.count_nonzero(busy))
+
 
 @dataclass(frozen=True)
 class PerfectChannel(Channel):
@@ -50,6 +66,15 @@ class PerfectChannel(Channel):
         if np.any(counts < 0):
             raise ValueError("response counts must be non-negative")
         return counts > 0
+
+    def idle_count(
+        self,
+        counts: np.ndarray,
+        rng: np.random.Generator | int | None = None,
+    ) -> int:
+        """Slots with no response.  ``counts`` must be non-negative, as every
+        sampler produces them; unlike :meth:`observe` this does not re-check."""
+        return int(counts.size - np.count_nonzero(counts))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ distribution instead:
    count vector is their Multinomial scatter — realised as a SplitMix64
    counter stream (``mix64(scatter_seed + i) mod slots``) followed by a
    bincount, which the optional C kernel
-   (:func:`repro.rfid._native.analytic_scatter_native`) reproduces
+   (:func:`repro.rfid._native.analytic_scatter_into`) reproduces
    bit-identically; when balls pile far above the slot count (heavily
    overloaded probe frames at n = 10⁸) the same distribution is drawn as
    one uniform Multinomial instead, keeping every frame O(slots).
@@ -47,6 +47,7 @@ join test: Binomial joiners scattered into a balanced frame).
 from __future__ import annotations
 
 import logging
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -69,6 +70,7 @@ __all__ = [
     "sample_lottery_first_idle",
     "sample_slot_counts",
     "scatter_counts",
+    "sense_round",
 ]
 
 _log = logging.getLogger(__name__)
@@ -116,20 +118,50 @@ def scatter_counts(scatter_seed: int, balls: int, n_slots: int) -> np.ndarray:
 
 
 def _occupancy_counts(
-    rng: np.random.Generator, balls: int, n_slots: int
+    rng: np.random.Generator, balls: int, n_slots: int, row: _Row | None = None
 ) -> np.ndarray:
     """Occupancy vector of ``balls`` uniform balls, by the cheaper route.
 
     Below the cutover the counter-stream scatter wins (and exercises the
     native kernel); above it — saturated frames whose ball count scales
     with n — one uniform Multinomial draw realises the identical
-    distribution in O(n_slots).
+    distribution in O(n_slots).  The scatter seed is one raw 64-bit draw
+    (``integers(0, 2**64, dtype=uint64)`` draws exactly that word).  With a
+    native ``row`` the kernel fills that reused buffer in place, metered
+    per round by the caller, and the counts are a view of it; otherwise
+    they are a new array.
     """
     if balls > _MULTINOMIAL_CUTOVER * n_slots:
         pvals = np.full(n_slots, 1.0 / n_slots)
         return rng.multinomial(balls, pvals).astype(np.int32)
-    scatter_seed = int(rng.integers(0, 1 << 64, dtype=np.uint64))
-    return scatter_counts(scatter_seed, balls, n_slots)
+    scatter_seed = rng.bit_generator.random_raw()
+    if row is None or not row.native:
+        return scatter_counts(scatter_seed, balls, n_slots)
+    _native.analytic_scatter_into(row.address, scatter_seed, balls, n_slots)
+    return row.array[:n_slots]
+
+
+def _ball_count(
+    rng: np.random.Generator,
+    n: int,
+    k: int,
+    p_n: int,
+    w: int,
+    obs: int,
+    mode: str,
+    pn_denom: int,
+) -> int:
+    """The observed responses of one frame: a Binomial response total
+    (``k·Binomial(n, p)`` in ``"static"`` mode), thinned by a second
+    Binomial to the ``obs`` observed slots of a truncated frame."""
+    p = min(max(int(p_n), 0), pn_denom) / pn_denom
+    if mode == "static":
+        balls = int(k) * int(rng.binomial(n, p))
+    else:
+        balls = int(rng.binomial(n * k, p))
+    if obs < w:
+        balls = int(rng.binomial(balls, obs / w))
+    return balls
 
 
 def sample_slot_counts(
@@ -176,16 +208,7 @@ def sample_slot_counts(
         )
     if pn_denom <= 0:
         raise ValueError(f"pn_denom must be positive, got {pn_denom}")
-    p = min(max(int(p_n), 0), pn_denom) / pn_denom
-    if mode == "static":
-        b_total = int(k) * int(rng.binomial(n, p))
-    else:
-        b_total = int(rng.binomial(n * k, p))
-    if obs < w:
-        b_obs = int(rng.binomial(b_total, obs / w))
-    else:
-        b_obs = b_total
-    return _occupancy_counts(rng, b_obs, obs)
+    return _occupancy_counts(rng, _ball_count(rng, n, k, p_n, w, obs, mode, pn_denom), obs)
 
 
 @lru_cache(maxsize=8)
@@ -249,9 +272,10 @@ class AnalyticReader:
     ``fresh_seeds`` (the same ``default_rng`` draw discipline, so executions
     are reproducible per seed), ``broadcast``/``broadcast_bits``,
     ``sense_frame``/``sense_slots`` and the metering bookkeeping — but backs
-    ``sense_frame`` with :func:`sample_slot_counts` instead of hashing tags.
+    ``sense_frame`` with the sampler's draw rule instead of hashing tags.
     Only the cardinality ``n`` is needed; no tagID array is ever built, so
-    n = 10⁸ costs the same memory as n = 10².
+    n = 10⁸ costs the same memory as n = 10².  :func:`sense_round` runs
+    the same frame step for many readers at once.
 
     Channel models compose unchanged: the sampled count vector feeds
     ``channel.observe`` exactly as the event frame kernel's does.
@@ -276,6 +300,11 @@ class AnalyticReader:
             )
         if self.pn_denom <= 0:
             raise ValueError(f"pn_denom must be positive, got {self.pn_denom}")
+        if self.persistence_mode == "rn_window":
+            _log.debug(
+                "AnalyticReader: rn_window sampled via its event marginal "
+                "(cross-hash-index correlations are not reproduced analytically)"
+            )
         self.ledger = TimeLedger(timing=self.timing)
         self._rng = np.random.default_rng(self.seed)
 
@@ -296,31 +325,17 @@ class AnalyticReader:
         """Transmit ``bits`` raw downlink bits (for baseline protocols)."""
         self.ledger.record_downlink(bits, phase=phase, label=label)
 
-    def sample_frame(
-        self, *, w: int, k: int, p_n: int, observe_slots: int | None, phase: str = ""
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Sample one frame, sense it and meter its uplink.
-
-        The one per-frame step, drawn from the reader's own stream:
-        :meth:`sense_frame` and BFCE's analytic sense
-        (:func:`repro.core.bfce.analytic_sense`) both call it, so the two
-        consume the stream and meter the ledger identically under any
-        channel.  Returns the slot counts, the busy flags the channel sensed
-        from them and the number of idle slots.
-        """
-        counts = sample_slot_counts(
-            self._rng,
-            n=self.n,
-            k=k,
-            p_n=p_n,
-            w=w,
-            observe_slots=observe_slots,
-            mode=self.persistence_mode,
-            pn_denom=self.pn_denom,
+    def _frame_counts(
+        self, k: int, p_n: int, w: int, obs: int, row: _Row | None = None
+    ) -> np.ndarray:
+        """The draw rule of one frame, from the reader's own stream: the
+        Binomial ball count(s), then the scatter seed or the Multinomial.
+        :meth:`sense_frame` and :func:`sense_round` both run it."""
+        rng = self._rng
+        balls = _ball_count(
+            rng, self.n, k, p_n, w, obs, self.persistence_mode, self.pn_denom
         )
-        busy = self.channel.observe(counts, rng=self._rng)
-        self.ledger.record_uplink(busy.size, phase=phase, label="frame")
-        return counts, busy, busy.size - int(np.count_nonzero(busy))
+        return _occupancy_counts(rng, balls, obs, row)
 
     def sense_frame(
         self,
@@ -335,23 +350,26 @@ class AnalyticReader:
 
         The broadcast ``seeds`` fix ``k`` (their values are consumed by the
         event hash path; the analytic sampler draws the frame outcome from
-        the reader's stream instead).
+        the reader's stream instead).  After the caller's broadcast and
+        :meth:`fresh_seeds`, this draws from the stream exactly as one
+        reader's frame of :func:`sense_round` does.
         """
-        counts, busy, ones = self.sample_frame(
-            w=w, k=len(seeds), p_n=p_n, observe_slots=observe_slots, phase=phase
-        )
-        slots = busy.size
+        obs = w if observe_slots is None else int(observe_slots)
+        counts = self._frame_counts(len(seeds), p_n, w, obs)
+        busy = self.channel.observe(counts, rng=self._rng)
+        self.ledger.record_uplink(obs, phase=phase, label="frame")
+        ones = obs - int(np.count_nonzero(busy))
         # ones / slots is bloom.mean() bit for bit: both divide an exact
         # integer by the slot count with one correctly rounded division.
         result = FrameResult(
             bloom=np.logical_not(busy).view(np.uint8),
-            rho=ones / slots,
+            rho=ones / obs,
             responses=int(counts.sum()),
             w=w,
         )
         _metrics.inc("frame.count")
         _metrics.inc("frame.slots.idle", ones)
-        _metrics.inc("frame.slots.busy", slots - ones)
+        _metrics.inc("frame.slots.busy", obs - ones)
         return result
 
     def sense_slots(self, busy: np.ndarray, *, phase: str = "", label: str = "slots") -> None:
@@ -368,3 +386,72 @@ class AnalyticReader:
     def reset_ledger(self) -> None:
         """Clear the ledger (virtual population and RNG state are kept)."""
         self.ledger = TimeLedger(timing=self.timing)
+
+
+class _Row:
+    """One thread's reusable frame row for :func:`sense_round`.
+
+    A round's native scatter fills every reader's counts into this one
+    int32 buffer, sensed before the next reader's fill, so a round holds
+    one row of the largest frame per thread instead of a readers × slots
+    matrix.  ``native`` is whether the kernel library is in use this round.
+    """
+
+    __slots__ = ("array", "address", "native")
+
+    def __init__(self, slots: int) -> None:
+        self.array = np.empty(slots, dtype=np.int32)
+        self.address = self.array.ctypes.data
+        self.native = False
+
+
+_rows = threading.local()
+
+
+def _round_row(slots: int) -> _Row:
+    row = getattr(_rows, "row", None)
+    if row is None or row.array.size < slots:
+        row = _rows.row = _Row(slots)
+    row.native = _native.get_lib() is not None
+    return row
+
+
+def sense_round(
+    readers,
+    pns,
+    *,
+    w: int,
+    k: int,
+    observe_slots: int,
+    phase: str,
+    message: MessageSpec,
+) -> list[int]:
+    """One protocol round on analytic readers: every reader's frame at once.
+
+    Per reader, in the stream order of ``broadcast`` → ``fresh_seeds`` →
+    :meth:`AnalyticReader.sense_frame`: the downlink record; the ``k``
+    frame seeds, unused, drawn as the ``k`` 32-bit words ``fresh_seeds``
+    consumes; the frame's draw rule (:meth:`AnalyticReader._frame_counts`);
+    the channel's idle count from the reader's own rng
+    (:meth:`~repro.rfid.channel.Channel.idle_count`); and the uplink
+    record.  Each reader draws only from its own stream, so any channel is
+    exact.  The native scatter fills one reused per-thread row (no
+    per-frame array or wrapper; the NumPy reference path goes through
+    :func:`scatter_counts`), and the ``frame.*`` counters and the kernel
+    metrics (:func:`~repro.rfid._native.scatter_round`) are written once
+    per round.  Returns each reader's idle slot count.
+    """
+    row = _round_row(observe_slots)
+    idle = []
+    with _native.scatter_round():
+        for reader, pn in zip(readers, pns):
+            reader.ledger.record_downlink(message.bits, phase=phase, label=message.name)
+            reader._rng.random(k, dtype=np.float32)
+            counts = reader._frame_counts(k, pn, w, observe_slots, row)
+            idle.append(reader.channel.idle_count(counts, rng=reader._rng))
+            reader.ledger.record_uplink(observe_slots, phase=phase, label="frame")
+    total_idle = sum(idle)
+    _metrics.inc("frame.count", len(idle))
+    _metrics.inc("frame.slots.idle", total_idle)
+    _metrics.inc("frame.slots.busy", len(idle) * observe_slots - total_idle)
+    return idle

@@ -12,38 +12,53 @@ Mechanics: an ``estimate`` request lands in a pending group keyed by its
 zone's :meth:`~repro.service.zones.ZoneConfig.group_key`.  The first
 arrival arms a flush timer one *tick* out (default 2 ms — far below the
 SLO, long enough for a burst to pile up); the flush snapshots all pending
-groups and ships them to the shared executor as **one job**.  The job runs
-the groups in order; within a group the distinct seeds are sorted and
-split into contiguous runs, and each run becomes one ``SweepPoint``
-executed through :func:`execute_point_inline` — so results flow through
-the same JSON normalisation and content-addressed disk cache as offline
-sweeps, topped by a small in-memory LRU for the hot repeats a disk
-round-trip would dominate.  Duplicate (config, seed) requests in a tick
-share a single result.  A group that raises fails only its own waiters.
+groups and ships them to the shared executor as **one job**.  Within a
+group the distinct seeds are sorted and split into contiguous runs, each
+run one ``SweepPoint``, and the job is
+
+1. **lookups** — every run of the tick is looked up in the
+   content-addressed disk cache (under a small in-memory LRU for the hot
+   repeats a disk round-trip would dominate);
+2. **drives per key** — the miss runs sharing a BFCE config, an (ε, δ)
+   requirement, a channel and a persistence mode advance all their readers
+   through one lockstep drive (:func:`execute_points_inline`; event-engine
+   zones run one run per drive), so a tick of eight analytic zones on two
+   frame sizes runs two drives, not eight;
+3. **split** — each run's records, or the exception that run raised, go
+   back to its group's seeds: a run that raises fails only its own waiters
+   (a merged drive that raises is re-driven one run at a time);
+4. **deliver** — one ``call_soon_threadsafe`` callback hands every outcome
+   to the loop;
+5. **persist** — only then are the tick's misses written to the
+   :class:`TrialCache`.
+
+Results flow through the same JSON normalisation and cache entries as
+offline sweeps, and every payload equals the run's own
+``execute_point_inline`` byte for byte.  Duplicate (config, seed) requests
+in a tick share a single result.
 
 Threading: futures are created, resolved and awaited on the event loop;
 engine work (and its ``service.request > service.coalesce >
 service.engine`` spans — the tracer's span stack is thread-local) runs
 inside the executor thread.  Each tick costs one executor job and one loop
-wakeup.  A job is *compute → deliver → persist*: it runs every group,
-hands all outcomes to the loop in one ``call_soon_threadsafe`` callback,
-and only then writes the tick's misses to the :class:`TrialCache` — no
-response waits on a disk write (``service.engine.seconds`` covers the
-compute alone).  A store that fails after delivery is logged and counted
-as ``service.cache.store_failed``, never an error response; a crash
-between delivery and persist loses only cache entries.  Until a store
-lands, a later tick's lookup of that entry waits for it, so an answered
-(config, seed) run is served from memory or disk, never recomputed, even
-after the memory LRU evicts it.  ``stop()`` drains the executor, so every
-computed entry is on disk after shutdown.  The reason for one job per
-tick is the GIL: one job (and one loop wakeup) per *group* handed the GIL
-between the loop and the engine threads about once per request.  On the serve-cold benchmark (2-vCPU host) that cost 40–45
+wakeup.  No response waits on a disk write (``service.engine.seconds``
+covers the compute alone).  A store that fails after delivery is logged
+and counted as ``service.cache.store_failed``, never an error response; a
+crash between delivery and persist loses only cache entries.  Until a
+store lands, a later tick's lookup of that entry waits for it, so an
+answered (config, seed) run is served from memory or disk, never
+recomputed, even after the memory LRU evicts it.  ``stop()`` drains the
+executor, so every computed entry is on disk after shutdown.  The reason
+for one job per tick is the GIL: one job (and one loop wakeup) per *group*
+handed the GIL between the loop and the engine threads about once per
+request.  On the serve-cold benchmark (2-vCPU host) that cost 40–45
 voluntary context switches and 2.2–3.5 ms of server CPU per request,
 0.4–0.5 ms of it on the loop thread; one job per tick costs 0.2–0.6
 switches and 1.0–1.3 ms, 0.12–0.17 ms on the loop.  The trade-off is
-head-of-line blocking: within a tick job a slow group delays the responses
-of the groups after it.  ``service.coalesce.job_groups`` (groups per job,
-observed once per tick) shows how many groups shared a job.
+head-of-line blocking: a slow drive delays the whole tick's responses.
+Counters: ``service.engine.calls`` counts runs, ``service.engine.drives``
+counts drives (``service.engine.readers`` observes each drive's readers),
+and ``service.coalesce.job_groups`` observes the groups of each tick job.
 """
 
 from __future__ import annotations
@@ -55,7 +70,10 @@ import time
 from collections import OrderedDict
 from concurrent.futures import Executor
 
-from ..experiments.sweep import TrialCache, execute_point_inline
+from ..experiments.sweep import TrialCache, execute_points_inline
+# Not called here; stays importable because perfbench's traced mode wraps it
+# under this module's name.
+from ..experiments.sweep import execute_point_inline  # noqa: F401
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from .protocol import ServiceError
@@ -184,25 +202,71 @@ class RequestCoalescer:
         )
 
     def _run_tick_sync(self, batches, loop) -> None:
-        """Executor thread: compute a tick's groups, deliver, then persist.
+        """Executor thread: a whole tick — lookups, drives, split, deliver, persist.
 
-        Each group's outcome is its records, or the exception it raised — a
-        failing group fails only its own waiters.  One loop callback hands
-        every outcome over; the tick's misses are written to disk after it.
+        Every group's sorted unique seeds split into contiguous runs, and
+        each run is one ``SweepPoint`` (``trials=len(run), base_seed=run[0]``
+        — per-trial seed ``base+t`` makes the run decompose into the
+        singles).  :func:`execute_points_inline` looks every run up, then
+        advances the readers of all miss runs sharing a config, requirement,
+        channel and persistence mode through one lockstep drive.  Each run's
+        records, or the exception that run raised, go back to its group's
+        seeds — a run that raises fails only its own waiters.  One loop
+        callback hands every outcome over; the tick's misses are written to
+        disk after it.
         """
+        started = time.perf_counter()
         cache = None if self.cache is None else _TickCache(self.cache, self._landing)
-        outcomes: list = []
-        for group, seeds in batches:
-            try:
-                outcomes.append(self._run_group_sync(group.config, seeds, cache))
-            except Exception as exc:  # noqa: BLE001 — delivered to the group
-                outcomes.append(exc)
+        try:
+            runs = [
+                (index, run_start, run_len)
+                for index, (_, seeds) in enumerate(batches)
+                for run_start, run_len in _contiguous_runs(seeds)
+            ]
+            points = [
+                batches[index][0].config.point(base_seed=run_start, trials=run_len)
+                for index, run_start, run_len in runs
+            ]
+            # The span chain lives entirely in this thread (the tracer's span
+            # stack is thread-local): request > coalesce > engine.
+            with _trace.span(
+                "service.request", groups=len(batches), runs=len(runs)
+            ), _trace.span("service.coalesce", runs=len(runs)) as sp:
+                with _trace.span("service.engine", runs=len(runs)):
+                    outcomes, drives = execute_points_inline(points, cache=cache)
+                disk_hits = sum(hit for _, hit in outcomes)
+                if sp:
+                    sp.set(drives=len(drives), disk_hits=disk_hits)
+            self.engine_calls += len(runs)
+            _metrics.inc("service.engine.calls", len(runs))
+            if disk_hits:
+                _metrics.inc("service.cache.disk_hit", disk_hits)
+            if drives:
+                _metrics.inc("service.engine.drives", len(drives))
+                for readers in drives:
+                    _metrics.observe("service.engine.readers", float(readers))
+            results: list[list] = [[] for _ in batches]
+            for (index, _, run_len), (payload, _) in zip(runs, outcomes):
+                if not isinstance(payload, Exception) and len(payload["records"]) != run_len:
+                    payload = ServiceError(
+                        500,
+                        f"engine returned {len(payload['records'])} records "
+                        f"for a {run_len}-trial point",
+                    )
+                if isinstance(payload, Exception):
+                    results[index].extend([payload] * run_len)
+                else:
+                    results[index].extend(payload["records"])
+        except Exception as exc:  # noqa: BLE001 — no waiter of the tick may hang
+            _log.exception("coalescer tick failed outside its runs")
+            results = [[exc] * len(seeds) for _, seeds in batches]
+        _metrics.observe("service.engine.seconds", time.perf_counter() - started)
         held = [] if cache is None else cache.held
         landed = threading.Event()
         for canonical, _, _ in held:
             self._landing[canonical] = landed
         try:
-            loop.call_soon_threadsafe(self._deliver, batches, outcomes)
+            loop.call_soon_threadsafe(self._deliver, batches, results)
         except RuntimeError:  # loop closed: nobody is waiting any more
             pass
         try:
@@ -218,68 +282,22 @@ class RequestCoalescer:
                 if self._landing.get(canonical) is landed:
                     del self._landing[canonical]
 
-    # ------------------------------------------------------------------
-    def _run_group_sync(self, config: ZoneConfig, seeds: list[int], cache) -> list[dict]:
-        """Executor thread: run one group's seeds, minimal engine calls.
-
-        Sorted unique seeds are split into contiguous runs; each run is one
-        batched engine call (``trials=len(run), base_seed=run[0]`` — per-
-        trial seed ``base+t`` makes the batch decompose into the singles).
-        Returns one record dict per seed, in ``seeds`` order.
-        """
-        started = time.perf_counter()
-        records: list[dict] = []
-        # The span chain lives entirely in this thread (the tracer's span
-        # stack is thread-local): request > coalesce > engine.
-        with _trace.span(
-            "service.request", engine=config.engine, seeds=len(seeds)
-        ), _trace.span(
-            "service.coalesce", group_seeds=len(seeds), n=int(config.n)
-        ) as sp:
-            cache_hits = 0
-            for run_start, run_len in _contiguous_runs(seeds):
-                point = config.point(base_seed=run_start, trials=run_len)
-                with _trace.span(
-                    "service.engine",
-                    engine=config.engine,
-                    trials=run_len,
-                    base_seed=run_start,
-                ):
-                    payload, was_hit = execute_point_inline(point, cache=cache)
-                self.engine_calls += 1
-                _metrics.inc("service.engine.calls")
-                if was_hit:
-                    cache_hits += 1
-                    _metrics.inc("service.cache.disk_hit")
-                run_records = payload["records"]
-                if len(run_records) != run_len:
-                    raise ServiceError(
-                        500,
-                        f"engine returned {len(run_records)} records "
-                        f"for a {run_len}-trial point",
-                    )
-                records.extend(run_records)
-            if sp:
-                sp.set(engine_calls=self.engine_calls, disk_hits=cache_hits)
-        _metrics.observe("service.engine.seconds", time.perf_counter() - started)
-        return records
-
-    def _deliver(self, batches, outcomes) -> None:
-        """Loop thread: one callback fans every group of a tick job out to
-        its waiters — the group's records, or the exception it raised."""
-        for (group, seeds), outcome in zip(batches, outcomes):
-            failed = isinstance(outcome, Exception)
+    def _deliver(self, batches, results) -> None:
+        """Loop thread: one callback fans a tick job out to every waiter —
+        each seed's record, or the exception its run raised."""
+        for (group, seeds), outcome in zip(batches, results):
             key = group.config.group_key()
-            for index, seed in enumerate(seeds):
+            for seed, result in zip(seeds, outcome):
+                failed = isinstance(result, Exception)
                 for future in group.waiters[seed]:
                     if future.done():  # waiter went away (connection dropped)
                         continue
                     if failed:
-                        future.set_exception(_as_service_error(outcome))
+                        future.set_exception(_as_service_error(result))
                     else:
-                        future.set_result(outcome[index])
+                        future.set_result(result)
                 if not failed:
-                    self._memory_put(key, seed, outcome[index])
+                    self._memory_put(key, seed, result)
 
     # ------------------------------------------------------------------
     def _memory_get(self, key: str, seed: int) -> dict | None:

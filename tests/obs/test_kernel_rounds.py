@@ -35,13 +35,13 @@ HIST = "kernel.native.analytic_scatter.seconds"
 def scatter_calls(monkeypatch):
     """Counts every real call of the scatter kernel."""
     calls = []
-    real = _native.analytic_scatter_native
+    real = _native.analytic_scatter_into
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(_native, "analytic_scatter_native", counted)
+    monkeypatch.setattr(_native, "analytic_scatter_into", counted)
     return calls
 
 
