@@ -1,40 +1,24 @@
-"""Saving and loading experiment results (CSV / JSON round-trips).
+"""Saving and loading regenerated figure data (JSON round-trips).
 
 Long sweeps are expensive; users want to regenerate tables and plots without
-re-running the simulator.  This module serialises the harness's record types
-— :class:`~repro.experiments.runner.TrialRecord` lists and
-:class:`~repro.experiments.figures.FigureData` — to plain CSV/JSON files and
-reads them back losslessly (modulo the free-form ``extra``/``meta`` dicts,
-which go through JSON).
+re-running the simulator.  This module serialises
+:class:`~repro.experiments.figures.FigureData` to a plain JSON file and reads
+it back (the free-form ``meta`` dict goes through JSON).
 
-No third-party serialisation dependency: ``csv`` + ``json`` from the
-standard library, with NumPy scalars coerced to native Python on the way
-out.
+No third-party serialisation dependency: ``json`` from the standard library,
+with NumPy scalars coerced to native Python on the way out.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .figures import FigureData
-from .runner import TrialRecord
 
-__all__ = [
-    "save_records_csv",
-    "load_records_csv",
-    "save_figure_json",
-    "load_figure_json",
-]
-
-_RECORD_FIELDS = [
-    "estimator", "n_true", "n_hat", "error", "seconds", "seed",
-    "eps", "delta", "distribution", "extra",
-]
+__all__ = ["save_figure_json", "load_figure_json"]
 
 
 def _native(value):
@@ -48,50 +32,6 @@ def _native(value):
     if isinstance(value, (list, tuple)):
         return [_native(v) for v in value]
     return value
-
-
-def save_records_csv(records: Sequence[TrialRecord], path: str | Path) -> None:
-    """Write trial records to CSV (``extra`` serialised as a JSON column)."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_RECORD_FIELDS)
-        writer.writeheader()
-        for r in records:
-            writer.writerow({
-                "estimator": r.estimator,
-                "n_true": r.n_true,
-                "n_hat": r.n_hat,
-                "error": r.error,
-                "seconds": r.seconds,
-                "seed": r.seed,
-                "eps": r.eps,
-                "delta": r.delta,
-                "distribution": r.distribution,
-                "extra": json.dumps(_native(r.extra)),
-            })
-
-
-def load_records_csv(path: str | Path) -> list[TrialRecord]:
-    """Read trial records written by :func:`save_records_csv`."""
-    path = Path(path)
-    records: list[TrialRecord] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            records.append(
-                TrialRecord(
-                    estimator=row["estimator"],
-                    n_true=int(row["n_true"]),
-                    n_hat=float(row["n_hat"]),
-                    error=float(row["error"]),
-                    seconds=float(row["seconds"]),
-                    seed=int(row["seed"]),
-                    eps=float(row["eps"]),
-                    delta=float(row["delta"]),
-                    distribution=row["distribution"],
-                    extra=json.loads(row["extra"]) if row["extra"] else {},
-                )
-            )
-    return records
 
 
 def save_figure_json(data: FigureData, path: str | Path) -> None:

@@ -2,24 +2,15 @@
 
 The paper's accuracy metric (Sec. V-A) is the relative error
 ``|n̂ − n| / n`` of a *single* estimation round (no averaging over repeated
-rounds).  This module aggregates such trials: empirical CDFs (Fig. 8),
-error summaries per sweep point (Figs. 7 and 9), and guarantee rates
-(the fraction of trials meeting the (ε, δ) interval).
+rounds).  This module aggregates such trials: empirical CDFs (Fig. 8) and
+guarantee rates (the fraction of trials meeting the (ε, δ) interval).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = [
-    "relative_error",
-    "ecdf",
-    "ErrorSummary",
-    "summarize_errors",
-    "guarantee_rate",
-]
+__all__ = ["relative_error", "ecdf", "guarantee_rate"]
 
 
 def relative_error(n_hat: float | np.ndarray, n_true: float) -> float | np.ndarray:
@@ -39,37 +30,6 @@ def ecdf(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("samples must be non-empty")
     probs = np.arange(1, values.size + 1, dtype=np.float64) / values.size
     return values, probs
-
-
-@dataclass(frozen=True)
-class ErrorSummary:
-    """Aggregate of relative errors at one sweep point."""
-
-    mean: float
-    std: float
-    median: float
-    p95: float
-    max: float
-    trials: int
-
-    @classmethod
-    def from_errors(cls, errors: np.ndarray) -> "ErrorSummary":
-        e = np.asarray(errors, dtype=np.float64)
-        if e.size == 0:
-            raise ValueError("errors must be non-empty")
-        return cls(
-            mean=float(e.mean()),
-            std=float(e.std(ddof=1)) if e.size > 1 else 0.0,
-            median=float(np.median(e)),
-            p95=float(np.quantile(e, 0.95)),
-            max=float(e.max()),
-            trials=int(e.size),
-        )
-
-
-def summarize_errors(n_hats: np.ndarray, n_true: float) -> ErrorSummary:
-    """Error summary of a batch of estimates against one ground truth."""
-    return ErrorSummary.from_errors(relative_error(np.asarray(n_hats), n_true))
 
 
 def guarantee_rate(n_hats: np.ndarray, n_true: float, eps: float) -> float:

@@ -12,18 +12,20 @@ This module turns that into a three-stage service:
 1. **Declare** — callers describe each point as a :class:`SweepPoint`, a
    canonicalised JSON spec.  Specs are *values*: two callers asking for the
    same work produce byte-identical canonical strings.
-2. **Dedupe + cache** — :func:`run_sweep` collapses duplicate specs, then
-   looks each unique spec up in a content-addressed on-disk cache
+2. **Dedupe + cache** — one core behind every entry point
+   (:func:`_through_cache`) collapses duplicate specs, then looks each
+   unique spec up in a content-addressed on-disk cache
    (``.repro_cache/``).  The cache key is the SHA-256 of the canonical spec
    plus an *engine-version token* — a hash of the kernel/protocol source
    files — so any change to code that could alter results invalidates every
    entry automatically.  ``REPRO_CACHE=0`` disables the cache,
    ``REPRO_CACHE_DIR`` relocates it, and the ``repro-rfid cache`` CLI
    subcommand reports/clears it.
-3. **Execute** — cache misses fan out over a ``ProcessPoolExecutor``; each
-   worker runs the existing lockstep batch engines and reuses the read-only
-   cached tagID arrays (:func:`~repro.experiments.workloads.population` with
-   ``copy=False``).  ``pool.map`` preserves submission order, so the output
+3. **Execute** — cache misses run in the calling thread (one lockstep
+   drive per ``bfce_trials`` drive key) or fan out over a
+   ``ProcessPoolExecutor``; both run the lockstep batch engines on the
+   read-only cached tagID arrays (:func:`~repro.experiments.workloads.
+   population` with ``copy=False``) and keep input order, so the output
    is deterministic regardless of worker count or scheduling.
 
 Bit-identity contract: every payload — cache hit, cache miss, or cache
@@ -501,9 +503,9 @@ class TrialCache:
     whole entries.
 
     A miss is serialised once (:func:`_encode`; :meth:`store` splices the
-    text in).  Every writer goes through :meth:`store`: :func:`run_sweep`,
-    :func:`execute_points_inline`, :func:`cached_call`, and the service's
-    coalescer, which stores a tick's misses only after answering them.
+    text in).  The one writer is the core behind every entry point
+    (:func:`_through_cache`); the service's coalescer hands it a view that
+    holds a tick's stores back until the tick is answered.
     """
 
     def __init__(self, directory: str | Path | None = None, *, token: str | None = None):
@@ -1052,6 +1054,74 @@ def _execute_canonical(canonical: str) -> dict:
 # ----------------------------------------------------------------------
 # Scheduler
 # ----------------------------------------------------------------------
+def _execute_inline(canonicals: Sequence[str]) -> tuple[list, list[int]]:
+    """The in-process executor: run canonical specs in the calling thread.
+
+    All ``bfce_trials`` specs execute together (:func:`_exec_bfce_runs`:
+    one lockstep drive per config, requirement, channel and persistence
+    mode) and any other kind alone.  Returns one outcome per spec — its
+    payload, or the exception it raised, so a failing spec fails only
+    itself — and the readers of each engine drive.
+    """
+    specs = [json.loads(canonical) for canonical in canonicals]
+    trials = [i for i, spec in enumerate(specs) if spec["kind"] == "bfce_trials"]
+    outcomes: list = [None] * len(specs)
+    drives: list[int] = []
+    if trials:
+        with _trace.span("sweep.point", kind="bfce_trials", points=len(trials)):
+            computed, drives = _exec_bfce_runs([specs[i] for i in trials])
+        for i, outcome in zip(trials, computed):
+            outcomes[i] = outcome
+    for i, spec in enumerate(specs):
+        if spec["kind"] != "bfce_trials":
+            try:
+                with _trace.span("sweep.point", kind=spec["kind"]):
+                    outcomes[i] = _EXECUTORS[spec["kind"]](spec)
+            except Exception as exc:  # noqa: BLE001 — this spec's outcome
+                outcomes[i] = exc
+    _trace.flush()
+    return outcomes, drives
+
+
+def _through_cache(
+    canonicals: Iterable[str],
+    cache,
+    execute: Callable[[list[str]], tuple[list, list[int]]],
+    *,
+    persist: bool = False,
+) -> tuple[dict[str, tuple], list[int]]:
+    """Lookup → execute → encode → store: the one path of every entry point.
+
+    ``cache=None`` means the default on-disk cache unless ``REPRO_CACHE=0``
+    is set.  Each unique canonical is looked up once, ``execute(missing)``
+    returns one outcome per miss (its payload or the exception it raised)
+    and the readers of its engine drives, and every payload is encoded once
+    (:func:`_encode`) and stored.  ``persist`` then folds the cache's
+    counters into its cumulative snapshot.  Returns ``{canonical:
+    (payload or exception, cache_hit)}`` and the drives.
+    """
+    if cache is None and cache_enabled():
+        cache = TrialCache()
+    found: dict[str, tuple | None] = {}
+    for canonical in canonicals:
+        if canonical not in found:
+            payload = cache.load(canonical) if cache is not None else None
+            found[canonical] = None if payload is None else (payload, True)
+    missing = [canonical for canonical, hit in found.items() if hit is None]
+    drives: list[int] = []
+    if missing:
+        outcomes, drives = execute(missing)
+        for canonical, outcome in zip(missing, outcomes):
+            if not isinstance(outcome, Exception):
+                outcome, text = _encode(outcome)
+                if cache is not None:
+                    cache.store(canonical, outcome, text=text)
+            found[canonical] = (outcome, False)
+    if persist and cache is not None:
+        cache.persist_metrics()
+    return found, drives
+
+
 def run_sweep(
     points: Iterable[SweepPoint],
     *,
@@ -1063,59 +1133,47 @@ def run_sweep(
     Returns one payload dict per input point, **aligned to input order**
     (duplicate points share one execution and one payload).  Misses run
     across a ``ProcessPoolExecutor`` — ``max_workers=None`` uses the CPU
-    count, ``0``/``1`` runs in-process — and ``pool.map`` preserves
-    submission order, so results are deterministic for any worker count.
+    count — and ``pool.map`` preserves submission order, so results are
+    deterministic for any worker count.  ``0``/``1`` workers (or a single
+    miss) run the in-process executor of :func:`execute_points_inline`;
+    the first point that raised, in input order, raises here.
 
     ``cache=None`` uses the default on-disk cache unless ``REPRO_CACHE=0``
     is set; pass an explicit :class:`TrialCache` to control the directory or
     engine token (the benchmarks and tests do).
     """
     point_list = list(points)
-    if cache is None and cache_enabled():
-        cache = TrialCache()
+
+    def execute(missing: list[str]) -> tuple[list, list[int]]:
+        workers = max_workers if max_workers is not None else (os.cpu_count() or 1)
+        workers = min(workers, len(missing))
+        if workers <= 1:
+            return _execute_inline(missing)
+        # Split the native kernel-thread budget across workers so process
+        # fan-out and kernel threads don't multiply into workers × cores
+        # oversubscription (bit-identity unaffected).
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_native.divide_thread_budget,
+            initargs=(workers,),
+        ) as pool:
+            payloads = list(pool.map(_execute_canonical, missing))
+        # Fold the pool workers' sidecar traces (spans + their final metrics
+        # snapshots) back into the parent's trace file.
+        _trace.merge_worker_traces()
+        return payloads, []
+
     with _trace.span("sweep.run", points=len(point_list)) as sp:
-        ordered_unique: list[str] = []
-        seen: set[str] = set()
-        for point in point_list:
-            if point.canonical not in seen:
-                seen.add(point.canonical)
-                ordered_unique.append(point.canonical)
-        results: dict[str, dict] = {}
-        missing: list[str] = []
-        for canonical in ordered_unique:
-            payload = cache.load(canonical) if cache is not None else None
-            if payload is not None:
-                results[canonical] = payload
-            else:
-                missing.append(canonical)
-        if missing:
-            workers = max_workers if max_workers is not None else (os.cpu_count() or 1)
-            workers = max(1, min(workers, len(missing)))
-            if workers <= 1:
-                payloads = [_execute_canonical(c) for c in missing]
-            else:
-                # Split the native kernel-thread budget across workers so
-                # process fan-out and kernel threads don't multiply into
-                # workers × cores oversubscription (bit-identity unaffected).
-                with ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=_native.divide_thread_budget,
-                    initargs=(workers,),
-                ) as pool:
-                    payloads = list(pool.map(_execute_canonical, missing))
-                # Fold the pool workers' sidecar traces (spans + their final
-                # metrics snapshots) back into the parent's trace file.
-                _trace.merge_worker_traces()
-            for canonical, payload in zip(missing, payloads):
-                payload, text = _encode(payload)
-                if cache is not None:
-                    cache.store(canonical, payload, text=text)
-                results[canonical] = payload
-        if cache is not None:
-            cache.persist_metrics()
+        found, _ = _through_cache(
+            (point.canonical for point in point_list), cache, execute, persist=True
+        )
         if sp:
-            sp.set(unique=len(ordered_unique), misses=len(missing))
-    return [results[point.canonical] for point in point_list]
+            sp.set(unique=len(found), misses=sum(not hit for _, hit in found.values()))
+    payloads = [found[point.canonical][0] for point in point_list]
+    for payload in payloads:
+        if isinstance(payload, Exception):
+            raise payload
+    return payloads
 
 
 def run_record_sweep(
@@ -1138,51 +1196,19 @@ def execute_points_inline(
 ) -> tuple[list[tuple[dict | Exception, bool]], list[int]]:
     """Execute sweep points in the calling thread, through the cache.
 
-    The estimation service's tick path: every point is looked up first, then
-    all ``bfce_trials`` misses execute together (:func:`_exec_bfce_runs`:
-    one lockstep drive per config, requirement, channel and persistence
-    mode) and any other kind alone; each miss is encoded once
-    (:func:`_encode`) and stored.  No process pool, no scheduler span, no
-    metrics fold.  Returns per point ``(payload, cache_hit)`` — the payload
-    is the exception when its point raised, and a failing point fails only
-    itself — and the readers of each engine drive.  Payloads are
-    JSON-normalised exactly like :func:`run_sweep`'s, so a served response
-    is bit-identical whether it came from the cache, this call, or a full
-    sweep.
+    The in-process executor (the service's tick path, and :func:`run_sweep`
+    without a pool): all ``bfce_trials`` misses run together, one lockstep
+    drive per config, requirement, channel and persistence mode, and any
+    other kind alone.  No scheduler span, no metrics fold.  Returns per
+    point ``(payload, cache_hit)`` — the payload is the exception when its
+    point raised, and a failing point fails only itself — and the readers
+    of each engine drive.  Payloads are JSON-normalised like
+    :func:`run_sweep`'s, so a served response is bit-identical whether it
+    came from the cache, this call, or a full sweep.
     """
-    if cache is None and cache_enabled():
-        cache = TrialCache()
-    found: dict[str, tuple | None] = {}
-    for point in points:
-        canonical = point.canonical
-        if canonical not in found:
-            payload = cache.load(canonical) if cache is not None else None
-            found[canonical] = None if payload is None else (payload, True)
-    missing = [canonical for canonical, hit in found.items() if hit is None]
-    drives: list[int] = []
-    if missing:
-        specs = [json.loads(canonical) for canonical in missing]
-        trials = [i for i, spec in enumerate(specs) if spec["kind"] == "bfce_trials"]
-        outcomes: list = [None] * len(specs)
-        if trials:
-            with _trace.span("sweep.point", kind="bfce_trials", points=len(trials)):
-                computed, drives = _exec_bfce_runs([specs[i] for i in trials])
-            for i, outcome in zip(trials, computed):
-                outcomes[i] = outcome
-        for i, spec in enumerate(specs):
-            if spec["kind"] != "bfce_trials":
-                try:
-                    with _trace.span("sweep.point", kind=spec["kind"]):
-                        outcomes[i] = _EXECUTORS[spec["kind"]](spec)
-                except Exception as exc:  # noqa: BLE001 — this point's outcome
-                    outcomes[i] = exc
-        _trace.flush()
-        for canonical, outcome in zip(missing, outcomes):
-            if not isinstance(outcome, Exception):
-                outcome, text = _encode(outcome)
-                if cache is not None:
-                    cache.store(canonical, outcome, text=text)
-            found[canonical] = (outcome, False)
+    found, drives = _through_cache(
+        (point.canonical for point in points), cache, _execute_inline
+    )
     return [found[point.canonical] for point in points], drives
 
 
@@ -1190,24 +1216,15 @@ def execute_point_inline(
     point: SweepPoint,
     *,
     cache: TrialCache | None = None,
-    persist_metrics: bool = False,
 ) -> tuple[dict, bool]:
     """Execute one sweep point in the calling thread, through the cache.
 
     The one-point case of :func:`execute_points_inline`; a point that
-    raises raises here.  No per-call metrics fold by default (a server
-    folding the cumulative snapshot file on every request would turn each
-    estimate into a disk read-modify-write — pass ``persist_metrics=True``
-    or call ``cache.persist_metrics()`` periodically instead).  Returns
-    ``(payload, cache_hit)``.
+    raises raises here.  Returns ``(payload, cache_hit)``.
     """
-    if cache is None and cache_enabled():
-        cache = TrialCache()
     [(payload, hit)], _ = execute_points_inline([point], cache=cache)
     if isinstance(payload, Exception):
         raise payload
-    if persist_metrics and cache is not None:
-        cache.persist_metrics()
     return payload, hit
 
 
@@ -1221,15 +1238,7 @@ def cached_call(spec: dict, compute: Callable[[], dict], *, cache: TrialCache | 
     are identical.
     """
     canonical = canonicalise(spec)
-    if cache is None and cache_enabled():
-        cache = TrialCache()
-    if cache is not None:
-        payload = cache.load(canonical)
-        if payload is not None:
-            cache.persist_metrics()
-            return payload
-    payload, text = _encode(compute())
-    if cache is not None:
-        cache.store(canonical, payload, text=text)
-        cache.persist_metrics()
-    return payload
+    found, _ = _through_cache(
+        [canonical], cache, lambda missing: ([compute()], []), persist=True
+    )
+    return found[canonical][0]

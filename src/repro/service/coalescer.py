@@ -21,9 +21,11 @@ run one ``SweepPoint``, and the job is
    repeats a disk round-trip would dominate);
 2. **drives per key** — the miss runs sharing a BFCE config, an (ε, δ)
    requirement, a channel and a persistence mode advance all their readers
-   through one lockstep drive (:func:`execute_points_inline`; event-engine
-   zones run one run per drive), so a tick of eight analytic zones on two
-   frame sizes runs two drives, not eight;
+   through one lockstep drive (event-engine zones run one run per drive),
+   so a tick of eight analytic zones on two frame sizes runs two drives,
+   not eight.  Steps 1–2 are :func:`execute_points_inline`, the sweep
+   layer's one in-process executor — the same lookup, drive and encode
+   path an in-process ``run_sweep`` takes;
 3. **split** — each run's records, or the exception that run raised, go
    back to its group's seeds: a run that raises fails only its own waiters
    (a merged drive that raises is re-driven one run at a time);

@@ -18,7 +18,6 @@ requests, so a zone can follow a churning population across rounds.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass, field, fields
 
@@ -30,7 +29,7 @@ from ..core.tracking import (
     TrackerUpdate,
     relative_measurement_std,
 )
-from ..experiments.sweep import SweepPoint
+from ..experiments.sweep import SweepPoint, canonicalise
 from ..obs import metrics as _metrics
 from ..obs.live import zone_metric
 from .protocol import ServiceError
@@ -145,59 +144,58 @@ class ZoneConfig:
         """The protocol constants this zone runs with."""
         return DEFAULT_CONFIG if self.w is None else BFCEConfig.scaled(int(self.w))
 
+    def _seedless_spec(self) -> str:
+        """Canonical ``bfce_trials`` spec of this zone without its seeds.
+
+        Built once per config (the loop asks for the group key on every
+        request, the engine thread for a point on every run) and kept
+        outside the dataclass fields, so it never enters equality, hashing
+        or :meth:`to_dict`.
+        """
+        text = self.__dict__.get("_group_key")
+        if text is None:
+            spec = SweepPoint.bfce_trials(
+                distribution=self.distribution,
+                n=self.n,
+                eps=self.eps,
+                delta=self.delta,
+                trials=0,
+                pop_seed=self.pop_seed,
+                rn_source=self.rn_source,
+                rn_seed=self.rn_seed,
+                persistence_mode=self.persistence_mode,
+                config=None if self.w is None else self.bfce_config(),
+                engine=self.engine,
+            ).spec
+            del spec["base_seed"], spec["trials"]
+            text = canonicalise(spec)
+            object.__setattr__(self, "_group_key", text)
+        return text
+
     def point(self, *, base_seed: int, trials: int) -> SweepPoint:
         """The sweep point executing ``trials`` contiguous seeds for this zone.
 
         This is the bridge into the existing substrate: the point's
         canonical spec is exactly a ``bfce_trials`` sweep spec, so the
         service inherits the engine tiers, the content-addressed cache and
-        the bit-identity contract without a parallel execution path.
+        the bit-identity contract without a parallel execution path.  Only
+        the two seed fields are filled in: with sorted keys ``base_seed``
+        comes first and ``trials`` last.
         """
-        return SweepPoint.bfce_trials(
-            distribution=self.distribution,
-            n=int(self.n),
-            eps=self.eps,
-            delta=self.delta,
-            trials=int(trials),
-            base_seed=int(base_seed),
-            pop_seed=self.pop_seed,
-            rn_source=self.rn_source,
-            rn_seed=self.rn_seed,
-            persistence_mode=self.persistence_mode,
-            config=None if self.w is None else self.bfce_config(),
-            engine=self.engine,
+        return SweepPoint(
+            f'{{"base_seed":{int(base_seed)},{self._seedless_spec()[1:-1]},'
+            f'"trials":{int(trials)}}}'
         )
 
     def group_key(self) -> str:
-        """Coalescing key: every field that shapes the engine spec.
+        """Coalescing key: the zone's engine spec without its seeds.
 
         Requests from zones with equal group keys may legally share one
         batched engine call (their specs differ only in seed); tracker
-        fields are excluded — tracking is post-processing on the estimate.
-        The key is built once per config (the loop asks for it on every
-        request) and kept outside the dataclass fields, so it never enters
-        equality, hashing or :meth:`to_dict`.
+        fields are not part of the spec — tracking is post-processing on
+        the estimate.
         """
-        key = self.__dict__.get("_group_key")
-        if key is None:
-            key = json.dumps(
-                {
-                    "n": int(self.n),
-                    "distribution": self.distribution,
-                    "eps": self.eps,
-                    "delta": self.delta,
-                    "engine": self.engine,
-                    "w": self.w,
-                    "persistence_mode": self.persistence_mode,
-                    "pop_seed": self.pop_seed,
-                    "rn_source": self.rn_source,
-                    "rn_seed": self.rn_seed,
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-            object.__setattr__(self, "_group_key", key)
-        return key
+        return self._seedless_spec()
 
     def make_tracker(self):
         """A fresh tracker instance per the config (None when stateless)."""

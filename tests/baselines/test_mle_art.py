@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.art import ART
+# mle_log_likelihood stays in src/ as an oracle: these tests check the likelihood MLE maximises.
 from repro.baselines.mle import MLE, mle_log_likelihood, solve_mle
 from repro.core.accuracy import AccuracyRequirement
 from repro.rfid.ids import uniform_ids

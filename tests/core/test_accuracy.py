@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+# meets_requirement and theoretical_rho_interval stay in src/ as oracles of these tests.
 from repro.core.accuracy import (
     AccuracyRequirement,
     f1,

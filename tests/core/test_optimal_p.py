@@ -2,6 +2,7 @@
 
 import pytest
 
+# meets_requirement stays in src/ as the oracle the planner's choice is checked by.
 from repro.core.accuracy import AccuracyRequirement, meets_requirement
 from repro.core.config import BFCEConfig, DEFAULT_CONFIG
 from repro.core.optimal_p import (

@@ -1,59 +1,9 @@
-"""Unit tests for result persistence (CSV/JSON round-trips)."""
+"""Unit tests for result persistence (figure JSON round-trips)."""
 
-import numpy as np
 import pytest
 
 from repro.experiments.figures import FigureData
-from repro.experiments.persistence import (
-    load_figure_json,
-    load_records_csv,
-    save_figure_json,
-    save_records_csv,
-)
-from repro.experiments.runner import TrialRecord
-
-
-def _record(seed: int = 0, **overrides) -> TrialRecord:
-    base = dict(
-        estimator="BFCE", n_true=1000, n_hat=1010.5, error=0.0105,
-        seconds=0.19, seed=seed, eps=0.05, delta=0.05, distribution="T1",
-        extra={"pn": 12, "nested": {"a": [1, 2]}},
-    )
-    base.update(overrides)
-    return TrialRecord(**base)
-
-
-class TestRecordsCsv:
-    def test_roundtrip(self, tmp_path):
-        records = [_record(s) for s in range(5)]
-        path = tmp_path / "records.csv"
-        save_records_csv(records, path)
-        loaded = load_records_csv(path)
-        assert loaded == records
-
-    def test_numpy_values_coerced(self, tmp_path):
-        r = _record(extra={"arr": np.array([1.5, 2.5]), "scalar": np.float64(3.0)})
-        path = tmp_path / "np.csv"
-        save_records_csv([r], path)
-        loaded = load_records_csv(path)[0]
-        assert loaded.extra == {"arr": [1.5, 2.5], "scalar": 3.0}
-
-    def test_empty_list(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        save_records_csv([], path)
-        assert load_records_csv(path) == []
-
-    def test_real_trial_records(self, tmp_path):
-        from repro.experiments.runner import run_bfce_trials
-        from repro.experiments.workloads import population
-
-        records = run_bfce_trials(population("T1", 5_000, seed=1), trials=2)
-        path = tmp_path / "real.csv"
-        save_records_csv(records, path)
-        loaded = load_records_csv(path)
-        assert len(loaded) == 2
-        assert loaded[0].n_hat == records[0].n_hat
-        assert loaded[0].within_eps == records[0].within_eps
+from repro.experiments.persistence import load_figure_json, save_figure_json
 
 
 class TestFigureJson:

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.experiments.stats import (
-    ErrorSummary,
-    ecdf,
-    guarantee_rate,
-    relative_error,
-    summarize_errors,
-)
+from repro.experiments.stats import ecdf, guarantee_rate, relative_error
 
 
 class TestRelativeError:
@@ -41,27 +35,6 @@ class TestEcdf:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ecdf(np.array([]))
-
-
-class TestErrorSummary:
-    def test_fields(self):
-        s = ErrorSummary.from_errors(np.array([0.01, 0.02, 0.03, 0.10]))
-        assert s.mean == pytest.approx(0.04)
-        assert s.median == pytest.approx(0.025)
-        assert s.max == pytest.approx(0.10)
-        assert s.trials == 4
-
-    def test_single_sample_std_zero(self):
-        s = ErrorSummary.from_errors(np.array([0.05]))
-        assert s.std == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            ErrorSummary.from_errors(np.array([]))
-
-    def test_summarize_errors_wrapper(self):
-        s = summarize_errors(np.array([95.0, 105.0]), 100.0)
-        assert s.mean == pytest.approx(0.05)
 
 
 class TestGuaranteeRate:

@@ -22,6 +22,9 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.bfce import BFCE
+from repro.core.config import BFCEConfig
+from repro.core.estmath import max_estimable_cardinality
 from repro.experiments.runner import run_bfce_trials, run_trials
 from repro.experiments.sweep import (
     SweepPoint,
@@ -29,6 +32,8 @@ from repro.experiments.sweep import (
     cache_enabled,
     cached_call,
     engine_version_token,
+    execute_point_inline,
+    execute_points_inline,
     run_record_sweep,
     run_sweep,
 )
@@ -355,7 +360,9 @@ class TestEntryVerification:
 
 
 class TestScheduler:
-    def test_output_order_deterministic_across_worker_counts(self, tmp_path):
+    def test_output_order_deterministic_across_worker_counts(self, tmp_path, monkeypatch):
+        scaled = BFCEConfig.scaled(2**17)
+        hit = _point(engine="analytic", base_seed=40)
         points = [
             _point(base_seed=5),
             _point(base_seed=6),
@@ -363,11 +370,63 @@ class TestScheduler:
                 c=0.5, distribution="T1", n=N, pop_seed=0, trials=2, base_seed=0
             ),
             _point(base_seed=5),  # duplicate of points[0]
+            # Analytic points on two drive keys: the default w and w = 2^17.
+            _point(engine="analytic", base_seed=1),
+            _point(engine="analytic", n=40 * N, base_seed=9),
+            _point(engine="analytic", n=50_000_000, config=scaled, base_seed=3),
+            _point(engine="analytic", n=20_000_000, config=scaled, base_seed=4),
+            SweepPoint.baseline_trials("ZOE", distribution="T1", n=N, trials=2, base_seed=3),
+            hit,  # already in every cache
         ]
-        serial = run_sweep(points, max_workers=1, cache=TrialCache(tmp_path / "a"))
-        parallel = run_sweep(points, max_workers=2, cache=TrialCache(tmp_path / "b"))
-        assert serial == parallel
+        caches = {
+            name: TrialCache(tmp_path / name)
+            for name in ("serial", "parallel", "inline", "single")
+        }
+        for cache in caches.values():
+            execute_point_inline(hit, cache=cache)
+        drives = []
+        many = BFCE.estimate_analytic_many
+
+        def counting(self, n, seeds, **kwargs):
+            drives.append(len(seeds))
+            return many(self, n, seeds, **kwargs)
+
+        monkeypatch.setattr(BFCE, "estimate_analytic_many", counting)
+        serial = run_sweep(points, max_workers=1, cache=caches["serial"])
+        assert drives == [4, 4]  # one drive per drive key, two runs each
+        parallel = run_sweep(points, max_workers=2, cache=caches["parallel"])
+        outcomes, _ = execute_points_inline(points, cache=caches["inline"])
+        assert [cached for _, cached in outcomes] == [p is hit for p in points]
+        single = [execute_point_inline(p, cache=caches["single"])[0] for p in points]
+        texts = [
+            [json.dumps(payload, sort_keys=True) for payload in payloads]
+            for payloads in (serial, parallel, [p for p, _ in outcomes], single)
+        ]
+        assert texts[0] == texts[1] == texts[2] == texts[3]
         assert serial[3] == serial[0]
+        entries = {
+            name: {path.name: path.read_bytes() for path in cache.directory.glob("*.json")}
+            for name, cache in caches.items()
+        }
+        assert len(entries["serial"]) == len({p.canonical for p in points})
+        assert entries["serial"] == entries["parallel"] == entries["inline"] == entries["single"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_raising_point_in_input_order_raises(self, tmp_path, workers):
+        ok = _point(engine="analytic", base_seed=1)
+        # The default grid's estimable cap and a seed whose accurate frame
+        # stays all-busy at pn_min there.
+        all_busy = _point(
+            engine="analytic", n=int(max_estimable_cardinality(8192, 1024, 3)),
+            trials=1, base_seed=4778,
+        )
+        bad_args = SweepPoint.baseline_trials(
+            "ZOE", distribution="T1", n=N, trials=1, args={"bogus": 1}
+        )
+        with pytest.raises(RuntimeError, match="all-busy"):
+            run_sweep([ok, all_busy, bad_args], max_workers=workers, cache=TrialCache(tmp_path))
+        with pytest.raises(TypeError, match="bogus"):
+            run_sweep([ok, bad_args, all_busy], max_workers=workers, cache=TrialCache(tmp_path))
 
     def test_duplicate_points_execute_once(self, tmp_path):
         cache = TrialCache(tmp_path)

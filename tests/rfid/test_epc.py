@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+# decode_sgtin96 stays in src/ as the round-trip oracle of the encoder.
 from repro.rfid.epc import Sgtin96, decode_sgtin96, encode_sgtin96, sgtin_population
 from repro.rfid.tags import TagPopulation
 

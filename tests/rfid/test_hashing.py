@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+# chi2_uniformity stays in src/ as the uniformity oracle of these tests.
 from repro.rfid.hashing import (
     chi2_uniformity,
     derive_rn_from_ids,

@@ -66,6 +66,9 @@ class TestZoneConfig:
         assert base.group_key() != other.group_key()
 
     def test_point_spec_matches_direct_sweep_point(self):
+        from dataclasses import replace
+
+        from repro.core.config import BFCEConfig
         from repro.experiments.sweep import SweepPoint
 
         config = ZoneConfig(n=5000, eps=0.1, delta=0.05, engine="batched")
@@ -74,6 +77,54 @@ class TestZoneConfig:
             trials=3, base_seed=7, pop_seed=0, engine="batched",
         )
         assert config.point(base_seed=7, trials=3).canonical == direct.canonical
+        custom = ZoneConfig(
+            n=50_000_000, distribution="T3", w=2**17, pop_seed=3,
+            rn_source="random", rn_seed=4, persistence_mode="static",
+        )
+        direct = SweepPoint.bfce_trials(
+            distribution="T3", n=50_000_000, trials=2, base_seed=11, pop_seed=3,
+            rn_source="random", rn_seed=4, persistence_mode="static",
+            config=BFCEConfig.scaled(2**17), engine="analytic",
+        )
+        assert custom.point(base_seed=11, trials=2).canonical == direct.canonical
+
+        # Group keys are equal exactly when the specs without seeds are.
+        def seedless_spec(config):
+            spec = SweepPoint.bfce_trials(
+                distribution=config.distribution, n=config.n, eps=config.eps,
+                delta=config.delta, trials=1, base_seed=0,
+                pop_seed=config.pop_seed, rn_source=config.rn_source,
+                rn_seed=config.rn_seed, persistence_mode=config.persistence_mode,
+                config=config.bfce_config(), engine=config.engine,
+            ).spec
+            del spec["base_seed"], spec["trials"]
+            return spec
+
+        base = ZoneConfig(n=3_000)
+        scaled = replace(base, w=2**17)
+        configs = [
+            base,
+            replace(base, w=8192),  # spells the default frame: same spec
+            replace(base, n=3_001),
+            replace(base, eps=0.1),
+            replace(base, engine="batched"),
+            replace(base, pop_seed=1),
+            replace(base, rn_source="random"),
+            replace(base, rn_seed=2),
+            replace(base, persistence_mode="static"),
+            replace(base, distribution="T2"),
+            scaled,
+            replace(scaled, w=2**18),
+            # Tracker fields never count.
+            replace(base, tracker="ekf", drift=1.1, churn_rate=0.2),
+            replace(scaled, tracker="window", window=4),
+        ]
+        for a in configs:
+            for b in configs:
+                same_spec = seedless_spec(a) == seedless_spec(b)
+                assert (a.group_key() == b.group_key()) == same_spec, (a, b)
+        assert base.group_key() == configs[1].group_key() == configs[-2].group_key()
+        assert scaled.group_key() == configs[-1].group_key()
 
 
 class TestZone:

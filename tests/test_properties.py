@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+# expected_rho and theoretical_rho_interval stay in src/ as this file's oracles.
 from repro.core.accuracy import (
     AccuracyRequirement,
     f1,

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.membership import CensusFilter
 from repro.experiments.dynamics import BatchEvent, PopulationTrace
+# decode_sgtin96 stays in src/ as the round-trip oracle of the encoder.
 from repro.rfid.epc import Sgtin96, decode_sgtin96, encode_sgtin96
 from repro.rfid.faults import FaultModel, correct_skew
 from repro.timing.link_budget import LinkProfile
