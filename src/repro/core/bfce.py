@@ -32,6 +32,10 @@ reader's observed idle ratio ρ̄.  There are three:
   is bit-identical to one :meth:`BFCE.estimate_analytic` per seed under any
   channel, and readers of different ``n`` can share one drive.
 
+The (ε, δ) requirement enters only at the optimal-p search (step 3), so
+each reader of a drive is planned with its own and readers of many
+requirements share one drive.
+
 Everything is metered on the readers' :class:`~repro.timing.TimeLedger`; the
 returned :class:`BFCEResult` carries the estimate, the per-phase diagnostics
 and the total execution time, which for the default configuration stays below
@@ -49,7 +53,7 @@ from ..obs import metrics as _metrics
 from ..obs.events import ledger_crosscheck
 from ..obs.trace import enabled as _tracing, event as _event, ledger_phase_cums, span as _span
 from ..rfid.channel import Channel, PerfectChannel
-from ..rfid.frames import run_bfce_frame_batch
+from ..rfid.frames import _BatchWorkspace, run_bfce_frame_batch
 from ..rfid.occupancy import AnalyticReader, sense_round
 from ..rfid.protocol import bfce_phase_message
 from ..rfid.reader import Reader
@@ -197,9 +201,11 @@ def batched_sense(population: TagPopulation, config: BFCEConfig) -> Sense:
 
     Per reader this mirrors :func:`per_reader_sense` — broadcast, ``k`` seeds
     from the reader's own stream, frame, uplink — and the batched kernel
-    reproduces the serial one slot for slot.  Perfect channel only.
+    reproduces the serial one slot for slot.  Perfect channel only.  The
+    drive's rounds share one workspace (prefix indexes built once).
     """
     message = _phase_message(config)
+    workspace = _BatchWorkspace()
 
     def sense(readers, pns, observe_slots, phase):
         with _span("frame.batch", phase=phase, trials=len(readers), slots=observe_slots) as sp:
@@ -213,6 +219,7 @@ def batched_sense(population: TagPopulation, config: BFCEConfig) -> Sense:
                 seeds=seeds,
                 p_n=np.asarray(pns, dtype=np.int64),
                 observe_slots=observe_slots,
+                workspace=workspace,
             )
             for reader in readers:
                 reader.ledger.record_uplink(observe_slots, phase=phase, label="frame")
@@ -423,19 +430,26 @@ class BFCE:
         seeds,
         *,
         channel: Channel | None = None,
+        requirements: Sequence[AccuracyRequirement] | None = None,
     ) -> list[BFCEResult]:
         """Estimate once per reader seed, all trials in lockstep, batched.
 
         Equivalent bit for bit to ``[self.estimate(population, seed=s,
         channel=channel) for s in seeds]``.  When ``channel`` is unsound for
         batching (see :func:`batching_is_sound`) that expression is
-        literally what runs.
+        literally what runs.  ``requirements`` gives each seed its own
+        (ε, δ) requirement (default: this estimator's).
         """
         seed_list = [int(s) for s in seeds]
         if not batching_is_sound(channel):
-            return [self.estimate(population, seed=s, channel=channel) for s in seed_list]
+            reqs = requirements or [self.requirement] * len(seed_list)
+            return [
+                BFCE(self.config, req).estimate(population, seed=s, channel=channel)
+                for s, req in zip(seed_list, reqs, strict=True)
+            ]
         readers = [Reader(population, seed=s) for s in seed_list]
-        return self._drive(readers, batched_sense(population, self.config), "batched")
+        sense = batched_sense(population, self.config)
+        return self._drive(readers, sense, "batched", requirements)
 
     def estimate_analytic(
         self,
@@ -469,13 +483,15 @@ class BFCE:
         *,
         channel: Channel | None = None,
         persistence_mode: str = "event",
+        requirements: Sequence[AccuracyRequirement] | None = None,
     ) -> list[BFCEResult]:
         """:meth:`estimate_analytic` once per seed, all trials in lockstep.
 
         ``n`` is one cardinality for every seed, or a sequence giving each
-        seed its own (one drive then serves readers of many populations:
-        only the config and the requirement are shared).  Equivalent bit
-        for bit to ``[self.estimate_analytic(n_s, seed=s, channel=channel,
+        seed its own, and ``requirements`` one (ε, δ) per seed (default:
+        this estimator's); one drive then serves readers of many
+        populations and requirements.  Equivalent bit for bit to
+        ``[self.estimate_analytic(n_s, seed=s, channel=channel,
         persistence_mode=persistence_mode) for n_s, s in zip(ns, seeds)]``
         under any channel: every reader keeps its own stream and ledger,
         and each round samples all active readers' frames in one
@@ -496,7 +512,7 @@ class BFCE:
             )
             for n_s, s in zip(ns, seeds)
         ]
-        return self._drive(readers, analytic_sense(self.config), "analytic")
+        return self._drive(readers, analytic_sense(self.config), "analytic", requirements)
 
     def estimate_with_reader(self, reader: Reader) -> BFCEResult:
         """Run the protocol on a caller-provided reader (ledger appended).
@@ -512,15 +528,21 @@ class BFCE:
         return self._drive([reader], per_reader_sense(self.config), "serial")[0]
 
     # ------------------------------------------------------------------
-    def _drive(self, readers: list, sense: Sense, engine: str) -> list[BFCEResult]:
+    def _drive(
+        self, readers: list, sense: Sense, engine: str, requirements=None
+    ) -> list[BFCEResult]:
         """Probe → rough → plan → accurate for every reader, in lockstep.
 
-        A lone trial is traced as one ``trial`` span; a run of several
-        readers, on any tier, as one ``batch.estimate_many`` span with a
-        ``trial`` event per trial.  Either way each trial leaves exactly one
-        trial record.
+        ``requirements[i]`` (default: this estimator's) plans reader ``i``'s
+        accurate frame; nothing before the plan depends on it.  A lone trial
+        is traced as one ``trial`` span; a run of several readers, on any
+        tier, as one ``batch.estimate_many`` span with a ``trial`` event per
+        trial.  Either way each trial leaves exactly one trial record.
         """
         cfg = self.config
+        requirements = requirements or [self.requirement] * len(readers)
+        if len(requirements) != len(readers):
+            raise ValueError(f"{len(requirements)} requirements for {len(readers)} readers")
         for reader in readers:
             # The event tag hash is fixed at the paper's 1/1024 grid; only the
             # analytic reader resamples at an arbitrary resolution.  A
@@ -544,8 +566,8 @@ class BFCE:
             roughs = rough_phase(readers, [p.pn for p in probes], sense, cfg)
             with _span("plan", trials=len(readers)):
                 plans = [
-                    find_optimal_pn(r.n_low, self.requirement, cfg) if r.n_low > 0 else None
-                    for r in roughs
+                    find_optimal_pn(r.n_low, req, cfg) if r.n_low > 0 else None
+                    for r, req in zip(roughs, requirements)
                 ]
             finals = accurate_phase(
                 readers, [cfg.pn_max if p is None else p.pn for p in plans], sense, cfg

@@ -12,7 +12,8 @@ fallback is recorded (DESIGN.md §6).
 
 from __future__ import annotations
 
-from ..core.accuracy import AccuracyRequirement
+import numpy as np
+
 from ..core.bfce import BFCE, batching_is_sound
 from ..core.config import BFCEConfig, DEFAULT_CONFIG
 from ..obs.events import engine_fallback
@@ -25,10 +26,10 @@ __all__ = ["run_bfce_trials_batched", "batching_is_sound"]
 def run_bfce_trials_batched(
     population: TagPopulation,
     *,
-    trials: int,
-    eps: float = 0.05,
-    delta: float = 0.05,
-    base_seed: int = 0,
+    trials,
+    eps=0.05,
+    delta=0.05,
+    base_seed=0,
     distribution: str = "",
     config: BFCEConfig = DEFAULT_CONFIG,
     channel: Channel | None = None,
@@ -38,13 +39,28 @@ def run_bfce_trials_batched(
     Returns the same :class:`~repro.experiments.runner.TrialRecord` list —
     same order, bit-identical estimates, errors and metered seconds — while
     executing each lockstep protocol round as one batched kernel call.
-    ``extra["engine"]`` records which engine actually ran: ``"batched"``
-    normally, ``"serial"`` when the channel makes batching unsound and the
-    per-trial fallback executes instead.
+    ``trials``, ``eps``, ``delta`` and ``base_seed`` describe one run, or
+    are equal-length sequences describing one run each: every run's
+    readers then share one lockstep drive, each planned with its own run's
+    (ε, δ) requirement, and the records come back run after run, each run's
+    bit-identical to running it alone.  ``extra["engine"]`` records which
+    engine actually ran: ``"batched"`` normally, ``"serial"`` when the
+    channel makes batching unsound and the per-trial fallback executes
+    instead.
     """
-    from .runner import bfce_trial_records  # local import: runner routes back here
+    from .runner import BFCERun, bfce_trial_records, run_readers  # runner routes back here
 
-    if trials <= 0:
+    columns = (trials, eps, delta, base_seed)
+    if np.ndim(trials) == 0:
+        columns = tuple([value] for value in columns)
+    runs = [
+        BFCERun(
+            n=population.size, trials=t, base_seed=b, eps=e, delta=d,
+            distribution=distribution, config=config,
+        )
+        for t, e, d, b in zip(*columns, strict=True)
+    ]
+    if not runs or any(run.trials <= 0 for run in runs):
         raise ValueError("trials must be positive")
     engine_ran = "batched"
     if not batching_is_sound(channel):
@@ -55,16 +71,8 @@ def run_bfce_trials_batched(
             actual="serial",
             reason=f"channel {type(channel).__name__} is unsound for batching",
         )
-    bfce = BFCE(config=config, requirement=AccuracyRequirement(eps, delta))
-    results = bfce.estimate_many(
-        population, seeds=range(base_seed, base_seed + trials), channel=channel
+    seeds, requirements = run_readers(runs)
+    results = BFCE(config=config).estimate_many(
+        population, seeds, channel=channel, requirements=requirements
     )
-    return bfce_trial_records(
-        results,
-        n_true=population.size,
-        base_seed=base_seed,
-        eps=eps,
-        delta=delta,
-        distribution=distribution,
-        engine=engine_ran,
-    )
+    return [record for run in bfce_trial_records(runs, results, engine_ran) for record in run]

@@ -26,13 +26,13 @@ from ..rfid.channel import Channel, NoisyChannel, PerfectChannel
 from ..rfid.tags import TagPopulation
 
 __all__ = [
-    "AnalyticRun",
+    "BFCERun",
     "TrialRecord",
     "run_trials",
     "baseline_trial_records",
     "bfce_trial_records",
     "run_bfce_trials",
-    "run_bfce_analytic_runs",
+    "run_bfce_runs",
     "run_bfce_trials_analytic",
 ]
 
@@ -86,36 +86,35 @@ def baseline_trial_records(
     ]
 
 
-def bfce_trial_records(
-    results,
-    *,
-    n_true: int,
-    base_seed: int,
-    eps: float,
-    delta: float,
-    distribution: str,
-    engine: str,
-) -> list[TrialRecord]:
-    """One :class:`TrialRecord` per BFCE result of seeds ``base_seed + t``."""
+def bfce_trial_records(runs, results, engine: str) -> list[list[TrialRecord]]:
+    """Each :class:`BFCERun`'s records, from its slice of one drive's results.
+
+    ``results`` holds the runs' trials back to back; trial ``t`` of a run
+    is the seed ``base_seed + t``.
+    """
+    results = iter(results)
     return [
-        TrialRecord(
-            estimator="BFCE",
-            n_true=n_true,
-            n_hat=result.n_hat,
-            error=result.relative_error(n_true),
-            seconds=result.elapsed_seconds,
-            seed=base_seed + t,
-            eps=eps,
-            delta=delta,
-            distribution=distribution,
-            extra={
-                "n_low": result.n_low,
-                "pn_optimal": result.pn_optimal,
-                "guarantee_met": result.guarantee_met,
-                "engine": engine,
-            },
-        )
-        for t, result in enumerate(results)
+        [
+            TrialRecord(
+                estimator="BFCE",
+                n_true=run.n,
+                n_hat=result.n_hat,
+                error=result.relative_error(run.n),
+                seconds=result.elapsed_seconds,
+                seed=run.base_seed + t,
+                eps=run.eps,
+                delta=run.delta,
+                distribution=run.distribution,
+                extra={
+                    "n_low": result.n_low,
+                    "pn_optimal": result.pn_optimal,
+                    "guarantee_met": result.guarantee_met,
+                    "engine": engine,
+                },
+            )
+            for t, result in zip(range(run.trials), results)
+        ]
+        for run in runs
     ]
 
 
@@ -185,20 +184,19 @@ def run_bfce_trials(
         bfce.estimate(population, seed=base_seed + t, channel=channel)
         for t in range(trials)
     ]
-    return bfce_trial_records(
-        results,
-        n_true=population.size,
-        base_seed=base_seed,
-        eps=eps,
-        delta=delta,
-        distribution=distribution,
-        engine="serial",
-    )
+    run = BFCERun(n=population.size, **common)
+    return bfce_trial_records([run], results, "serial")[0]
 
 
 @dataclass(frozen=True)
-class AnalyticRun:
-    """One run of contiguous seeds ``base_seed …`` on the analytic BFCE tier."""
+class BFCERun:
+    """One run of contiguous seeds ``base_seed …`` on a BFCE lockstep tier.
+
+    Without a ``population`` the run is analytic: a virtual population of
+    ``n`` tags under ``persistence_mode``, any channel.  With one it is
+    batched on that population's tags (perfect channel; ``n`` is its size
+    and the persistence mode its own).
+    """
 
     n: int
     trials: int
@@ -209,60 +207,81 @@ class AnalyticRun:
     config: BFCEConfig = DEFAULT_CONFIG
     channel: Channel | None = None
     persistence_mode: str = "event"
+    population: TagPopulation | None = None
 
     def drive_key(self) -> tuple:
         """Runs with equal keys share one lockstep drive.
 
-        Every reader of a drive senses through the first run's channel, so
+        The (ε, δ) requirement is not part of the key: each reader is
+        planned with its own run's.  Batched runs share a drive when they
+        share the population object — sweep points of one population key
+        get the one shared population of
+        :func:`~repro.experiments.workloads.population`.  Every analytic
+        reader of a drive senses through the first run's channel, so
         channels match by value only for the stateless built-in models; any
         other channel object shares a drive only with itself.
         """
+        if self.population is not None:
+            return ("batched", self.config, id(self.population))
         channel = self.channel
         if type(channel) not in (type(None), PerfectChannel, NoisyChannel):
             channel = id(channel)
-        return (self.config, self.eps, self.delta, channel, self.persistence_mode)
+        return ("analytic", self.config, channel, self.persistence_mode)
 
 
-def _drive_runs(runs: Sequence[AnalyticRun], drives: list[int]) -> list[list[TrialRecord]]:
+def run_readers(runs: Sequence[BFCERun]) -> tuple[list[int], list[AccuracyRequirement]]:
+    """The seed and the (ε, δ) requirement of every reader of ``runs``, run after run."""
+    seeds = [seed for run in runs for seed in range(run.base_seed, run.base_seed + run.trials)]
+    reqs = [req for run in runs for req in [AccuracyRequirement(run.eps, run.delta)] * run.trials]
+    return seeds, reqs
+
+
+def _drive_runs(runs: Sequence[BFCERun], drives: list[int]) -> list[list[TrialRecord]]:
     """One lockstep drive over every reader of ``runs`` (one drive key)."""
     first = runs[0]
-    bfce = BFCE(config=first.config, requirement=AccuracyRequirement(first.eps, first.delta))
-    ns = [run.n for run in runs for _ in range(run.trials)]
-    seeds = [seed for run in runs for seed in range(run.base_seed, run.base_seed + run.trials)]
-    drives.append(len(seeds))
-    results = bfce.estimate_analytic_many(
-        ns, seeds, channel=first.channel, persistence_mode=first.persistence_mode
-    )
-    records, start = [], 0
-    for run in runs:
-        records.append(
-            bfce_trial_records(
-                results[start:start + run.trials],
-                n_true=run.n,
-                base_seed=run.base_seed,
-                eps=run.eps,
-                delta=run.delta,
-                distribution=run.distribution,
-                engine="analytic",
-            )
+    drives.append(sum(run.trials for run in runs))
+    if first.population is None:
+        seeds, requirements = run_readers(runs)
+        results = BFCE(config=first.config).estimate_analytic_many(
+            [run.n for run in runs for _ in range(run.trials)],
+            seeds,
+            channel=first.channel,
+            persistence_mode=first.persistence_mode,
+            requirements=requirements,
         )
-        start += run.trials
-    return records
+        return bfce_trial_records(runs, results, "analytic")
+    from . import batch  # deferred, and looked up per call: batch imports us
+
+    records = iter(
+        batch.run_bfce_trials_batched(
+            first.population,
+            trials=[run.trials for run in runs],
+            eps=[run.eps for run in runs],
+            delta=[run.delta for run in runs],
+            base_seed=[run.base_seed for run in runs],
+            distribution=first.distribution,
+            config=first.config,
+        )
+    )
+    return [[next(records) for _ in range(run.trials)] for run in runs]
 
 
-def run_bfce_analytic_runs(
-    runs: Sequence[AnalyticRun],
+def run_bfce_runs(
+    runs: Sequence[BFCERun],
 ) -> tuple[list[list[TrialRecord] | Exception], list[int]]:
     """Every run's records, with one lockstep drive per drive key.
 
-    Runs that share a config, an (ε, δ) requirement, a channel and a
-    persistence mode advance all their readers through one
-    :meth:`~repro.core.bfce.BFCE.estimate_analytic_many` drive; every
-    reader keeps its own stream and ledger, so each run's records are
-    bit-identical to running it alone.  A drive that raises is re-driven
-    one run at a time, so only the runs that raise fail.  Returns the
-    outcomes aligned with ``runs`` (a record list, or the exception the run
-    raised) and the readers of each drive, in drive order.
+    Analytic runs that share a config, a channel and a persistence mode
+    advance all their readers through one
+    :meth:`~repro.core.bfce.BFCE.estimate_analytic_many` drive; batched
+    runs on one population and config through one
+    :func:`~repro.experiments.batch.run_bfce_trials_batched` drive.  Every
+    reader keeps its own stream, ledger and (ε, δ) requirement, so each
+    run's records are bit-identical to running it alone.  A drive that
+    raises is re-driven one run at a time, so only the runs that raise
+    fail.  Returns the outcomes aligned with ``runs`` (a record list, or
+    the exception the run raised) and the readers of each drive, in drive
+    order.
     """
     outcomes: list = [None] * len(runs)
     drives: list[int] = []
@@ -304,20 +323,16 @@ def run_bfce_trials_analytic(
     ``population`` may be a :class:`~repro.rfid.tags.TagPopulation` (its
     ``persistence_mode`` is honoured; its IDs are ignored) or a plain
     cardinality ``n`` — sweeps at n = 10⁷–10⁸ never materialise an ID
-    array.  The one-run case of :func:`run_bfce_analytic_runs`: all trials
+    array.  The one-run case of :func:`run_bfce_runs`: all trials
     run in lockstep through one drive, each record bit-identical to a
     per-seed ``estimate_analytic`` under any channel.  Records are
     exact-in-distribution counterparts of the event engines' (never
     bit-identical); ``extra["engine"] = "analytic"``.
     """
-    if isinstance(population, TagPopulation):
-        n_true = population.size
-        if persistence_mode is None:
-            persistence_mode = population.persistence_mode
-    else:
-        n_true = int(population)
-    run = AnalyticRun(
-        n=n_true,
+    if persistence_mode is None:
+        persistence_mode = getattr(population, "persistence_mode", "event")
+    run = BFCERun(
+        n=population.size if isinstance(population, TagPopulation) else int(population),
         trials=trials,
         base_seed=base_seed,
         eps=eps,
@@ -325,9 +340,9 @@ def run_bfce_trials_analytic(
         distribution=distribution,
         config=config,
         channel=channel,
-        persistence_mode=persistence_mode or "event",
+        persistence_mode=persistence_mode,
     )
-    [outcome], _ = run_bfce_analytic_runs([run])
+    [outcome], _ = run_bfce_runs([run])
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

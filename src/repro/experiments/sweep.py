@@ -802,58 +802,59 @@ def records_from_payload(payload: dict):
 def _exec_bfce_runs(specs: Sequence[dict]) -> tuple[list, list[int]]:
     """Execute ``bfce_trials`` specs together: one drive per drive key.
 
-    Analytic specs go through :func:`~repro.experiments.runner.
-    run_bfce_analytic_runs`, which drives every reader of the specs sharing
-    a config, requirement, channel and persistence mode at once; each event
-    engine spec runs alone.  Returns one outcome per spec — its payload, or
-    the exception it raised — and the readers of each drive.
+    Analytic specs and batched perfect-channel specs go through
+    :func:`~repro.experiments.runner.run_bfce_runs`, which drives every
+    reader of the specs sharing a config, a channel and a persistence mode
+    (analytic) or a population key and a config (batched) at once, each
+    reader planned with its own spec's (ε, δ).  Serial-engine specs and
+    specs on a channel unsound for batching run alone.  Returns one outcome
+    per spec — its payload, or the exception it raised — and the readers of
+    each drive.
     """
+    from ..core.bfce import batching_is_sound
     from ..core.config import DEFAULT_CONFIG, BFCEConfig
-    from .runner import AnalyticRun, run_bfce_analytic_runs, run_bfce_trials
+    from .runner import BFCERun, run_bfce_runs, run_bfce_trials
 
     outcomes: list = [None] * len(specs)
     drives: list[int] = []
-    runs, analytic = [], []
+    runs, merged = [], []
     for i, spec in enumerate(specs):
         try:
             config = DEFAULT_CONFIG if spec["config"] is None else BFCEConfig(**spec["config"])
             channel = _build_channel(spec["channel"])
+            run = dict(
+                trials=spec["trials"],
+                base_seed=spec["base_seed"],
+                eps=spec["eps"],
+                delta=spec["delta"],
+                distribution=spec["distribution"],
+                config=config,
+            )
             if spec["engine"] == "analytic":
                 # The analytic engine never materialises an ID array — n = 10⁸
                 # sweep points would otherwise cost ~800 MB of tagIDs per worker.
                 runs.append(
-                    AnalyticRun(
-                        n=spec["n"],
-                        trials=spec["trials"],
-                        base_seed=spec["base_seed"],
-                        eps=spec["eps"],
-                        delta=spec["delta"],
-                        distribution=spec["distribution"],
-                        config=config,
-                        channel=channel,
-                        persistence_mode=spec["persistence_mode"],
+                    BFCERun(
+                        n=spec["n"], channel=channel,
+                        persistence_mode=spec["persistence_mode"], **run,
                     )
                 )
-                analytic.append(i)
+            elif spec["engine"] == "batched" and batching_is_sound(channel):
+                pop = _spec_population(spec)
+                runs.append(BFCERun(n=pop.size, population=pop, **run))
+            else:
+                drives.append(spec["trials"])
+                records = run_bfce_trials(
+                    _spec_population(spec), engine=spec["engine"], channel=channel, **run
+                )
+                outcomes[i] = _record_payload(records)
                 continue
-            drives.append(spec["trials"])
-            records = run_bfce_trials(
-                _spec_population(spec),
-                trials=spec["trials"],
-                eps=spec["eps"],
-                delta=spec["delta"],
-                base_seed=spec["base_seed"],
-                distribution=spec["distribution"],
-                engine=spec["engine"],
-                config=config,
-                channel=channel,
-            )
-            outcomes[i] = _record_payload(records)
+            merged.append(i)
         except Exception as exc:  # noqa: BLE001 — this spec's outcome
             outcomes[i] = exc
-    records, analytic_drives = run_bfce_analytic_runs(runs)
-    drives.extend(analytic_drives)
-    for i, outcome in zip(analytic, records):
+    records, merged_drives = run_bfce_runs(runs)
+    drives.extend(merged_drives)
+    for i, outcome in zip(merged, records):
         outcomes[i] = outcome if isinstance(outcome, Exception) else _record_payload(outcome)
     return outcomes, drives
 
@@ -1058,8 +1059,9 @@ def _execute_inline(canonicals: Sequence[str]) -> tuple[list, list[int]]:
     """The in-process executor: run canonical specs in the calling thread.
 
     All ``bfce_trials`` specs execute together (:func:`_exec_bfce_runs`:
-    one lockstep drive per config, requirement, channel and persistence
-    mode) and any other kind alone.  Returns one outcome per spec — its
+    one lockstep drive per analytic config, channel and persistence mode,
+    and per batched config and population key, each reader with its own
+    (ε, δ)) and any other kind alone.  Returns one outcome per spec — its
     payload, or the exception it raised, so a failing spec fails only
     itself — and the readers of each engine drive.
     """
@@ -1198,8 +1200,8 @@ def execute_points_inline(
 
     The in-process executor (the service's tick path, and :func:`run_sweep`
     without a pool): all ``bfce_trials`` misses run together, one lockstep
-    drive per config, requirement, channel and persistence mode, and any
-    other kind alone.  No scheduler span, no metrics fold.  Returns per
+    drive per drive key (:func:`_exec_bfce_runs`), and any other kind
+    alone.  No scheduler span, no metrics fold.  Returns per
     point ``(payload, cache_hit)`` — the payload is the exception when its
     point raised, and a failing point fails only itself — and the readers
     of each engine drive.  Payloads are JSON-normalised like

@@ -8,8 +8,9 @@ event buffer through memory, so on one core they are bound by L2 bandwidth
 (~10 passes per event).  The C versions here fuse the hashing into
 register-resident passes compiled with ``-O3 -march=native``, so the
 SplitMix64 loops vectorise with the host's 64-bit SIMD multiplies; kernels
-with a data-dependent step (the ALOHA slot increment, the HLL register max)
-hash a 1024-id block in one vectorised pass and run only that step scalar.
+with a data-dependent step (the ALOHA and BFCE slot increments, the HLL
+register max) hash a 1024-id block in one vectorised pass and run only that
+step scalar.
 Measured on the 2-vCPU Xeon reference host (AVX-512, GCC 12): the
 occupancy kernel takes 0.57–0.81 ns per (id, seed) event at n = 10⁵ and 12
 seeds on one thread (1.9 ns at ``-O3`` alone), and replaying the native
@@ -81,6 +82,7 @@ __all__ = [
     "occupancy_native",
     "aloha_empty_native",
     "bfce_counts_native",
+    "bfce_prefix_buckets",
     "analytic_scatter_native",
     "analytic_scatter_into",
     "scatter_round",
@@ -287,71 +289,159 @@ void aloha_empty_batch(const uint64_t *ids, size_t n,
     run_blocks(aloha_block, &c, m, n_threads);
 }
 
-/* Per-slot response counts of dense (full or near-full) BFCE frames.
+/* Per-slot response counts of BFCE frames.
  * One call covers a chunk of c frames sharing the population: frame c's
- * row of counts (length w = w_mask + 1) accumulates one increment per
- * responding (hash-index, tag) event, with the persistence test
- * mix64(id ^ mes) < pn << 54 — the same integer rewrite of
- * u < p_n/1024 the NumPy dense path uses — and slot (rn ^ rs) & w_mask.
- * pn <= 0 leaves the row all-zero (nobody responds); pn >= 1024 skips the
- * hash entirely (everybody responds).  mode_static = 1 reuses the j = 0
- * decision for every hash index (the "static" persistence mode); 0 decides
- * per event ("event" mode).  The rn_window mode stays on the NumPy path.
- * Threaded over frames: each frame's row is written by exactly one thread.
- * Within a frame the loop streams (id, rn) pairs once, deciding all k hash
- * indices per tag, so the event buffers are read one cache-resident pass
- * per frame while the w-sized count row stays L2-resident.
+ * row of counts accumulates one increment per responding (hash-index,
+ * tag) event, with the persistence test mix64(id ^ mes) < pn << 54 — the
+ * same integer rewrite of u < p_n/1024 the NumPy paths use — and slot
+ * (rn ^ rs) & slot_mask.  pn <= 0 leaves the row all-zero (nobody responds);
+ * pn >= 1024 skips the hash entirely (everybody responds).  mode_static = 1
+ * reuses the j = 0 decision for every hash index (the "static" persistence
+ * mode); 0 decides per event ("event" mode).  The rn_window mode stays on
+ * the NumPy path.  Threaded over frames: each frame's row is written by
+ * exactly one thread.  Counts are sums of per-event increments, so the
+ * order in which a row's events are visited cannot change a count.
+ *
+ * Dense frames (keys == NULL): rows of w = slot_mask + 1 slots, every tag
+ * visited.  Three passes per REPRO_BLOCK ids and hash index, as in
+ * aloha_block: the persistence hashes (vectorised), a branchless
+ * compaction of the responders' block offsets, then the slot increments —
+ * no data-dependent branch per event (at the accurate frame's pn ~ 100 the
+ * persistence test is a coin flip to a branch predictor).  Compacting
+ * offsets rather than slots keeps the compaction loop to one store per id;
+ * the ~pn/1024 responders compute their slots in the increment pass.
+ *
+ * Power-of-two truncated frames (starts != NULL): rows of obs = slot_mask + 1
+ * observed slots out of the announced w.  An event lands in the prefix iff
+ * rn & h_mask == rs & h_mask (the high slot bits cancel), so with the tags
+ * bucketed by (rn & h_mask) >> shift (bfce_prefix_buckets) each (frame,
+ * hash) row's contributors are one bucket, [starts[b], starts[b + 1]); ids
+ * and rn arrive in bucket order, so the bucket is read contiguously.  The
+ * decision is added to the slot (0 or 1) instead of branching on it.
  */
 typedef struct {
     const uint64_t *ids; const uint32_t *rn; size_t n;
     const uint32_t *rs32; const uint64_t *mes; const int64_t *pn;
-    size_t k; uint32_t w_mask; int mode_static;
+    size_t k; uint32_t slot_mask; int mode_static;
+    const int64_t *starts; uint32_t h_mask; int shift;
     int64_t *counts;
 } bfce_ctx;
 
-static void bfce_block(void *p, size_t lo, size_t hi, int tid) {
-    bfce_ctx *c = (bfce_ctx *)p;
-    (void)tid;
-    const uint64_t w = (uint64_t)c->w_mask + 1;
+/* Bucket index of a power-of-two truncated frame: a stable counting sort
+ * of the tags by (rn & h_mask) >> shift into n_buckets buckets.  starts
+ * (n_buckets + 1 entries) gets each bucket's first position and n at the
+ * end; ids_out/rn_out get the tags in bucket order. */
+void bfce_prefix_buckets(const uint64_t *ids, const uint32_t *rn, size_t n,
+                         uint32_t h_mask, int shift, size_t n_buckets,
+                         int64_t *starts, uint64_t *ids_out, uint32_t *rn_out) {
+    memset(starts, 0, (n_buckets + 1) * sizeof(int64_t));
+    for (size_t i = 0; i < n; i++)
+        starts[((rn[i] & h_mask) >> shift) + 1]++;
+    for (size_t b = 0; b < n_buckets; b++)
+        starts[b + 1] += starts[b];
+    for (size_t i = 0; i < n; i++) {
+        const int64_t at = starts[(rn[i] & h_mask) >> shift]++;
+        ids_out[at] = ids[i];
+        rn_out[at] = rn[i];
+    }
+    /* Each starts[b] advanced to its bucket's end: shift the ends back. */
+    for (size_t b = n_buckets; b > 0; b--)
+        starts[b] = starts[b - 1];
+    starts[0] = 0;
+}
+
+static void bfce_dense_frame(const bfce_ctx *c, size_t f, int64_t *row,
+                             int all_join, uint64_t thr) {
     const size_t k = c->k;
+    const uint32_t mask = c->slot_mask;
+    const uint32_t *rs = c->rs32 + f * k;
+    const uint64_t *mes = c->mes + f * k;
+    uint64_t hash[REPRO_BLOCK];
+    uint32_t resp[REPRO_BLOCK];   /* block offsets of the responders */
+    for (size_t b = 0; b < c->n; b += REPRO_BLOCK) {
+        const uint64_t *ids = c->ids + b;
+        const uint32_t *rn = c->rn + b;
+        const size_t len = c->n - b < REPRO_BLOCK ? c->n - b : REPRO_BLOCK;
+        size_t m = 0;
+        for (size_t j = 0; j < k; j++) {
+            const uint32_t s = rs[j];
+            if (all_join) {
+                for (size_t i = 0; i < len; i++)
+                    row[(rn[i] ^ s) & mask]++;
+                continue;
+            }
+            /* Static mode decides once per tag (j = 0) for every index. */
+            if (j == 0 || !c->mode_static) {
+                const uint64_t sm = mes[j];
+                for (size_t i = 0; i < len; i++)
+                    hash[i] = mix64(ids[i] ^ sm);
+                m = 0;
+                for (size_t i = 0; i < len; i++) {
+                    resp[m] = (uint32_t)i;
+                    m += hash[i] < thr;
+                }
+            }
+            for (size_t i = 0; i < m; i++)
+                row[(rn[resp[i]] ^ s) & mask]++;
+        }
+    }
+}
+
+static void bfce_prefix_frame(const bfce_ctx *c, size_t f, int64_t *row,
+                              int all_join, uint64_t thr) {
+    const size_t k = c->k;
+    const uint32_t mask = c->slot_mask;
+    const uint32_t *rs = c->rs32 + f * k;
+    const uint64_t *mes = c->mes + f * k;
+    uint64_t hash[REPRO_BLOCK];
+    for (size_t j = 0; j < k; j++) {
+        const uint32_t s = rs[j], bucket = (s & c->h_mask) >> c->shift;
+        const size_t start = (size_t)c->starts[bucket], end = (size_t)c->starts[bucket + 1];
+        const uint64_t sm = mes[c->mode_static ? 0 : j];
+        for (size_t b = start; b < end; b += REPRO_BLOCK) {
+            const uint64_t *ids = c->ids + b;
+            const uint32_t *rn = c->rn + b;
+            const size_t len = end - b < REPRO_BLOCK ? end - b : REPRO_BLOCK;
+            if (all_join) {
+                for (size_t i = 0; i < len; i++)
+                    row[(rn[i] ^ s) & mask]++;
+                continue;
+            }
+            for (size_t i = 0; i < len; i++)
+                hash[i] = mix64(ids[i] ^ sm);
+            for (size_t i = 0; i < len; i++)
+                row[(rn[i] ^ s) & mask] += hash[i] < thr;
+        }
+    }
+}
+
+static void bfce_block(void *p, size_t lo, size_t hi, int tid) {
+    const bfce_ctx *c = (const bfce_ctx *)p;
+    const size_t slots = (size_t)c->slot_mask + 1;
+    (void)tid;
     for (size_t f = lo; f < hi; f++) {
-        int64_t *row = c->counts + f * w;
-        memset(row, 0, w * sizeof(int64_t));
+        int64_t *row = c->counts + f * slots;
+        memset(row, 0, slots * sizeof(int64_t));
         const int64_t pn = c->pn[f];
         if (pn <= 0)
             continue;
         const int all_join = pn >= 1024;
         const uint64_t thr = all_join ? 0 : ((uint64_t)pn << 54);
-        const uint32_t *rs = c->rs32 + f * k;
-        const uint64_t *mes = c->mes + f * k;
-        if (c->mode_static) {
-            const uint64_t sm = mes[0];
-            for (size_t i = 0; i < c->n; i++) {
-                if (all_join || mix64(c->ids[i] ^ sm) < thr) {
-                    const uint32_t r = c->rn[i];
-                    for (size_t j = 0; j < k; j++)
-                        row[(r ^ rs[j]) & c->w_mask]++;
-                }
-            }
-        } else {
-            for (size_t i = 0; i < c->n; i++) {
-                const uint64_t id = c->ids[i];
-                const uint32_t r = c->rn[i];
-                for (size_t j = 0; j < k; j++) {
-                    if (all_join || mix64(id ^ mes[j]) < thr)
-                        row[(r ^ rs[j]) & c->w_mask]++;
-                }
-            }
-        }
+        if (c->starts)
+            bfce_prefix_frame(c, f, row, all_join, thr);
+        else
+            bfce_dense_frame(c, f, row, all_join, thr);
     }
 }
 
 void bfce_counts_batch(const uint64_t *ids, const uint32_t *rn, size_t n,
                        const uint32_t *rs32, const uint64_t *mes,
                        const int64_t *pn, size_t c_frames, size_t k,
-                       uint32_t w_mask, int mode_static, int64_t *counts,
-                       int n_threads) {
-    bfce_ctx c = {ids, rn, n, rs32, mes, pn, k, w_mask, mode_static, counts};
+                       uint32_t slot_mask, int mode_static,
+                       const int64_t *starts, uint32_t h_mask, int shift,
+                       int64_t *counts, int n_threads) {
+    bfce_ctx c = {ids, rn, n, rs32, mes, pn, k, slot_mask, mode_static,
+                  starts, h_mask, shift, counts};
     run_blocks(bfce_block, &c, c_frames, n_threads);
 }
 
@@ -846,9 +936,14 @@ def _compile() -> tuple[ctypes.CDLL, ctypes.PyDLL] | None:
     lib.bfce_counts_batch.argtypes = [
         _U64P, _U32P, ctypes.c_size_t, _U32P, _U64P, _I64P,
         ctypes.c_size_t, ctypes.c_size_t, ctypes.c_uint32,
-        ctypes.c_int, _I64P, ctypes.c_int,
+        ctypes.c_int, _I64P, ctypes.c_uint32, ctypes.c_int, _I64P, ctypes.c_int,
     ]
     lib.bfce_counts_batch.restype = None
+    lib.bfce_prefix_buckets.argtypes = [
+        _U64P, _U32P, ctypes.c_size_t, ctypes.c_uint32, ctypes.c_int,
+        ctypes.c_size_t, _I64P, _U64P, _U32P,
+    ]
+    lib.bfce_prefix_buckets.restype = None
     for handle in (lib, gil_lib):
         # Rows go in as raw addresses: this kernel runs once per analytic
         # frame, where ``data_as`` costs more than the call itself.
@@ -939,15 +1034,21 @@ def bfce_counts_native(
     pn: np.ndarray,
     w: int,
     static_mode: bool,
+    prefix: tuple | None = None,
 ) -> np.ndarray:
-    """C fast path of the dense BFCE frame-count kernel.
+    """C fast path of the BFCE frame-count kernels.
 
     ``rs32``/``mes`` are the chunk's ``(C, k)`` slot seeds and premixed
-    event seeds, ``pn`` the ``(C,)`` persistence numerators.  Returns int64
-    counts of shape ``(C, w)``, row-identical to the NumPy dense path of
-    :func:`repro.rfid.frames._batched_chunk_counts` — threading is over
-    frames (rows), so the chunk size chosen by the caller bounds the
-    usable parallelism.
+    event seeds, ``pn`` the ``(C,)`` persistence numerators.  Without
+    ``prefix`` the frames are dense: returns int64 counts of shape
+    ``(C, w)``, row-identical to the NumPy dense path of
+    :func:`repro.rfid.frames._batched_chunk_counts`.  ``prefix`` is
+    ``(observe_slots, starts)`` of a power-of-two truncated frame, with
+    ``ids``/``rn`` in the bucket order of :func:`bfce_prefix_buckets`:
+    returns the ``(C, observe_slots)`` counts of the observed prefix,
+    row-identical to the NumPy truncated path.  Threading is over frames
+    (rows), so the chunk size chosen by the caller bounds the usable
+    parallelism.
     """
     lib = get_lib()
     c_frames, k = rs32.shape
@@ -956,18 +1057,51 @@ def bfce_counts_native(
     rs32 = np.ascontiguousarray(rs32, dtype=np.uint32)
     mes = np.ascontiguousarray(mes, dtype=np.uint64)
     pn = np.ascontiguousarray(pn, dtype=np.int64)
-    counts = np.empty((c_frames, w), dtype=np.int64)
-    nt = _threads_for(c_frames, c_frames * k * ids.size)
+    slots, starts, events = w, None, c_frames * k * ids.size
+    if prefix is not None:
+        slots, starts = prefix
+        events = events * slots // w
+    counts = np.empty((c_frames, slots), dtype=np.int64)
+    nt = _threads_for(c_frames, events)
     t0 = time.perf_counter()
     lib.bfce_counts_batch(
         _as_u64p(ids), rn.ctypes.data_as(_U32P), ids.size,
         rs32.ctypes.data_as(_U32P), _as_u64p(mes),
         pn.ctypes.data_as(_I64P), c_frames, k,
-        ctypes.c_uint32(w - 1), ctypes.c_int(int(static_mode)),
+        ctypes.c_uint32(slots - 1), ctypes.c_int(int(static_mode)),
+        None if starts is None else starts.ctypes.data_as(_I64P),
+        ctypes.c_uint32((w - 1) ^ (slots - 1)), ctypes.c_int(slots.bit_length() - 1),
         counts.ctypes.data_as(_I64P), ctypes.c_int(nt),
     )
     _record_call("bfce_counts", nt, time.perf_counter() - t0)
     return counts
+
+
+def bfce_prefix_buckets(
+    ids: np.ndarray, rn: np.ndarray, w: int, observe_slots: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bucket index of a power-of-two truncated frame, for the prefix pass.
+
+    A stable counting sort of the tags by ``(rn & h) >> log2(observe_slots)``
+    with ``h = (w-1) ^ (observe_slots-1)``: returns the ``w /
+    observe_slots + 1`` bucket starts (the last is ``n``) and the ids and
+    RNs in bucket order — the same order as the stable argsort of
+    :meth:`repro.rfid.frames._BatchWorkspace.prefix_index`, in one O(n)
+    pass.
+    """
+    lib = get_lib()
+    ids = np.ascontiguousarray(ids, dtype=np.uint64)
+    rn = np.ascontiguousarray(rn, dtype=np.uint32)
+    n_buckets = w // observe_slots
+    starts = np.empty(n_buckets + 1, dtype=np.int64)
+    ids_out, rn_out = np.empty_like(ids), np.empty_like(rn)
+    lib.bfce_prefix_buckets(
+        _as_u64p(ids), rn.ctypes.data_as(_U32P), ids.size,
+        ctypes.c_uint32((w - 1) ^ (observe_slots - 1)),
+        ctypes.c_int(observe_slots.bit_length() - 1), n_buckets,
+        starts.ctypes.data_as(_I64P), _as_u64p(ids_out), rn_out.ctypes.data_as(_U32P),
+    )
+    return starts, ids_out, rn_out
 
 
 def analytic_scatter_native(seed: int, balls: int, n_slots: int) -> np.ndarray:

@@ -172,6 +172,10 @@ _THRESHOLD_SHIFT = np.uint64(53 - PERSISTENCE_BITS)
 #: (two uint64 buffers of this many elements ≈ 1 MB working set).
 _DEC_BLOCK = 1 << 16
 
+#: Most buckets (w / observe_slots) the native prefix pass indexes; BFCE's
+#: frames stay far below it (8192 / 32 = 256), wider ratios keep NumPy.
+_MAX_PREFIX_BUCKETS = 1 << 16
+
 
 @dataclass(frozen=True)
 class BatchFrameResult:
@@ -227,12 +231,14 @@ class BatchFrameResult:
 
 
 class _BatchWorkspace:
-    """Reusable scratch buffers for the chunk loop of one batched call.
+    """Reusable scratch buffers for the batched frame calls on one population.
 
     Every chunk of a batch has the same (or a smaller, final-chunk) shape, so
     the dense path's uint64 mixing buffers and the uint32 slot-index buffer
     are allocated once and re-sliced per chunk instead of being re-allocated
-    (and page-faulted in) ~once per frame.
+    (and page-faulted in) ~once per frame.  A lockstep drive holds one
+    workspace for all its rounds, so each prefix index is built once per
+    drive; it belongs to the population object held here (another rebuilds).
     """
 
     def __init__(self) -> None:
@@ -260,6 +266,14 @@ class _BatchWorkspace:
         """bool scratch buffer of the given shape."""
         return self._take("_bool", np.bool_, shape)
 
+    def _memo(self, key: tuple, population: TagPopulation, build):
+        # One index at a time, tied to the population object: a drive's
+        # probe rounds all precede its rough rounds, so keeping the probe
+        # index would only hold memory.
+        if self._prefix is None or self._prefix[0] is not population or self._prefix[1] != key:
+            self._prefix = population, key, build()
+        return self._prefix[2]
+
     def prefix_index(
         self, population: TagPopulation, w: int, observe_slots: int
     ) -> tuple[np.uint32, np.ndarray, np.ndarray]:
@@ -278,8 +292,8 @@ class _BatchWorkspace:
         runs on it as uint16, which numpy radix-sorts: ~1 ms against ~8 ms
         for the uint32 keys at n = 10^5.  Wider keys keep the uint32 sort.
         """
-        key = (id(population), w, observe_slots)
-        if self._prefix is None or self._prefix[0] != key:
+
+        def build():
             h = (w - 1) ^ (observe_slots - 1)
             h_mask = np.uint32(h)
             keys = population.rn & h_mask
@@ -290,8 +304,23 @@ class _BatchWorkspace:
                 )
             else:
                 order = np.argsort(keys, kind="stable")
-            self._prefix = (key, (h_mask, order, keys[order]))
-        return self._prefix[1]
+            return h_mask, order, keys[order]
+
+        return self._memo(("order", w, observe_slots), population, build)
+
+    def prefix_buckets(
+        self, population: TagPopulation, w: int, observe_slots: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The native pass's form of :meth:`prefix_index`: bucket starts and
+        the ids and RNs in index order
+        (:func:`~repro.rfid._native.bfce_prefix_buckets`)."""
+        return self._memo(
+            ("buckets", w, observe_slots),
+            population,
+            lambda: _native.bfce_prefix_buckets(
+                population.tag_ids, population.rn, w, observe_slots
+            ),
+        )
 
     def pair64(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         """(buf, tmp) uint64 buffer pair for the in-place mixing pipeline."""
@@ -425,13 +454,23 @@ def _sparse_chunk_counts(
     any other prefix length falls back to scanning the RN array one
     L2-sized block per (frame, hash-index) row.  Both forms select exactly
     the events with ``sel < observe_slots``, so the counts are identical to
-    the whole-chunk expression.
+    the whole-chunk expression.  With the native library, power-of-two
+    prefixes in the event and static modes run as one C pass over the index
+    instead; the NumPy forms stay the reference.
     """
     c_frames, k = rs.shape
     n = population.size
     counts_shape = (c_frames, observe_slots)
     if n == 0:
         return np.zeros(counts_shape, dtype=np.int64)
+    if _native_prefix(population, w, observe_slots):
+        _metrics.inc("kernel.native.bfce_counts")
+        starts, ids, rn = ws.prefix_buckets(population, w, observe_slots)
+        return _native.bfce_counts_native(
+            ids, rn, rs, mes, pn, w, population.persistence_mode == "static",
+            prefix=(observe_slots, starts),
+        )
+    _metrics.inc("kernel.numpy.bfce_counts")
     rn = population.rn
     rs_flat = rs.reshape(-1)
     slot_mask = np.uint32(w - 1)
@@ -497,6 +536,21 @@ def _sparse_chunk_counts(
     return np.bincount(slots, minlength=c_frames * observe_slots).reshape(counts_shape)
 
 
+def _native_mode(population: TagPopulation) -> bool:
+    """Whether the C kernels count this population's frames."""
+    return population.persistence_mode in ("event", "static") and _native.get_lib() is not None
+
+
+def _native_prefix(population: TagPopulation, w: int, observe_slots: int) -> bool:
+    """Whether a truncated frame takes the native prefix pass: power-of-two
+    prefixes of at most ``_MAX_PREFIX_BUCKETS`` buckets (w / obs)."""
+    return (
+        observe_slots & (observe_slots - 1) == 0
+        and w // observe_slots <= _MAX_PREFIX_BUCKETS
+        and _native_mode(population)
+    )
+
+
 def _batched_chunk_counts(
     population: TagPopulation,
     seeds: np.ndarray,
@@ -516,10 +570,11 @@ def _batched_chunk_counts(
             population, rs, es, mes, pn, w, observe_slots, ws
         )
     # Full (or near-full) frames.  The event/static persistence modes have a
-    # fused C kernel (one register-resident mix64 + slot increment per
-    # event, no intermediate arrays); rn_window and compiler-less hosts use
-    # the NumPy path below — both produce bit-identical counts.
-    if population.persistence_mode in ("event", "static") and _native.get_lib() is not None:
+    # blocked C kernel (vectorised persistence hashes, branchless responder
+    # compaction, scalar slot increments; no intermediate arrays);
+    # rn_window and compiler-less hosts use the NumPy path below — both
+    # produce bit-identical counts.
+    if _native_mode(population):
         _metrics.inc("kernel.native.bfce_counts")
         counts = _native.bfce_counts_native(
             population.tag_ids,
@@ -555,6 +610,7 @@ def run_bfce_frame_batch(
     observe_slots: int | None = None,
     channel: Channel | None = None,
     channel_rngs: list[np.random.Generator] | None = None,
+    workspace: _BatchWorkspace | None = None,
 ) -> BatchFrameResult:
     """Execute ``T`` independent BFCE frames as one batched computation.
 
@@ -593,6 +649,9 @@ def run_bfce_frame_batch(
         channel; stochastic channels raise without one);
         ``channel_rngs[t]`` plays the role of the serial kernel's
         ``channel_rng`` for frame ``t``.
+    workspace:
+        Scratch buffers and prefix indexes reused across calls on this
+        population (a drive's rounds); a fresh one per call by default.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     if seeds.ndim != 2 or seeds.shape[0] == 0 or seeds.shape[1] == 0:
@@ -614,15 +673,17 @@ def run_bfce_frame_batch(
     # threaded dense kernel parallelises over the frames *within* one chunk,
     # so when it will run the budget scales by the thread count — each
     # thread's block of frames stays at the single-core budget while the
-    # chunk carries enough frames to feed every core.
-    dense_native = (
-        observe_slots * 4 > w
-        and population.persistence_mode in ("event", "static")
-        and _native.get_lib() is not None
-    )
-    budget = _BATCH_EVENT_BUDGET * (_native.effective_threads() if dense_native else 1)
-    chunk = max(1, budget // max(1, k * population.size))
-    ws = _BatchWorkspace()
+    # chunk carries enough frames to feed every core.  The native prefix
+    # pass touches only the prefix's events and keeps no per-event buffer,
+    # so it takes every frame in one call.
+    dense = observe_slots * 4 > w
+    if not dense and _native_prefix(population, w, observe_slots):
+        chunk = n_frames
+    else:
+        native = dense and _native_mode(population)
+        budget = _BATCH_EVENT_BUDGET * (_native.effective_threads() if native else 1)
+        chunk = max(1, budget // max(1, k * population.size))
+    ws = workspace if workspace is not None else _BatchWorkspace()
     es = _event_seeds(seeds, k)  # (T, k), shared by every chunk
     mes = None if population.persistence_mode == "rn_window" else mix64(es)
     for lo in range(0, n_frames, chunk):

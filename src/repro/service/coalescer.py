@@ -19,11 +19,11 @@ run one ``SweepPoint``, and the job is
 1. **lookups** — every run of the tick is looked up in the
    content-addressed disk cache (under a small in-memory LRU for the hot
    repeats a disk round-trip would dominate);
-2. **drives per key** — the miss runs sharing a BFCE config, an (ε, δ)
-   requirement, a channel and a persistence mode advance all their readers
-   through one lockstep drive (event-engine zones run one run per drive),
-   so a tick of eight analytic zones on two frame sizes runs two drives,
-   not eight.  Steps 1–2 are :func:`execute_points_inline`, the sweep
+2. **drives per key** — the analytic miss runs sharing a BFCE config, a
+   channel and a persistence mode advance all their readers through one
+   lockstep drive, each reader planned with its own zone's (ε, δ), and
+   batched runs on one population and config likewise, so a tick of eight
+   analytic zones on two frame sizes runs two drives, not eight.  Steps 1–2 are :func:`execute_points_inline`, the sweep
    layer's one in-process executor — the same lookup, drive and encode
    path an in-process ``run_sweep`` takes;
 3. **split** — each run's records, or the exception that run raised, go
@@ -210,8 +210,9 @@ class RequestCoalescer:
         each run is one ``SweepPoint`` (``trials=len(run), base_seed=run[0]``
         — per-trial seed ``base+t`` makes the run decompose into the
         singles).  :func:`execute_points_inline` looks every run up, then
-        advances the readers of all miss runs sharing a config, requirement,
-        channel and persistence mode through one lockstep drive.  Each run's
+        advances the readers of all miss runs sharing a drive key (config,
+        channel and persistence mode on the analytic tier; each reader keeps
+        its own (ε, δ)) through one lockstep drive.  Each run's
         records, or the exception that run raised, go back to its group's
         seeds — a run that raises fails only its own waiters.  One loop
         callback hands every outcome over; the tick's misses are written to

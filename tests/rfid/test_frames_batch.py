@@ -83,6 +83,17 @@ class TestBatchKernelEquivalence:
             pop, w=1024, seeds=_seed_matrix(8, seed=7), pns=PN_CASES, observe_slots=96
         )
 
+    @pytest.mark.parametrize("mode", ["event", "static"])
+    @pytest.mark.parametrize("observe_slots", [3, 1000])
+    def test_non_power_of_two_prefix_of_a_wide_frame(self, mode, observe_slots):
+        """Truncated prefixes the native prefix pass does not take (no
+        bucket structure) keep the NumPy scan and equal the serial kernel."""
+        pop = TagPopulation(uniform_ids(5_000, seed=12), persistence_mode=mode)
+        _assert_batch_matches_serial(
+            pop, w=8192, seeds=_seed_matrix(8, seed=13), pns=PN_CASES,
+            observe_slots=observe_slots,
+        )
+
     @pytest.mark.parametrize("n", [0, 1, 37])
     def test_tiny_and_empty_populations(self, n):
         pop = TagPopulation(uniform_ids(n, seed=8))
@@ -151,6 +162,52 @@ class TestPrefixIndex:
         assert sorted_keys.dtype == np.uint32
         assert np.array_equal(sorted_keys, keys[ref])
         assert ws.prefix_index(pop, w, observe_slots)[1] is order
+
+
+class TestWorkspace:
+    """One workspace serves every round of a drive on one population."""
+
+    def test_prefix_index_built_once_per_drive(self):
+        pop = TagPopulation(uniform_ids(3_000, seed=31))
+        other = TagPopulation(uniform_ids(3_000, seed=32))
+        ws = frames_mod._BatchWorkspace()
+        index = ws.prefix_index(pop, 8192, 32)
+        # A dense round between two probe rounds keeps the index.
+        run_bfce_frame_batch(pop, w=8192, seeds=_seed_matrix(4), p_n=300, workspace=ws)
+        assert ws.prefix_index(pop, 8192, 32)[1] is index[1]
+        # Another population object, even one of equal size, rebuilds.
+        assert ws.prefix_index(other, 8192, 32)[1] is not index[1]
+        assert ws.prefix_index(pop, 8192, 32)[1] is not index[1]
+
+    def test_native_buckets_reused_in_argsort_order(self):
+        if frames_mod._native.get_lib() is None:
+            pytest.skip("no C compiler / native build failed")
+        pop = TagPopulation(uniform_ids(3_000, seed=31))
+        ws = frames_mod._BatchWorkspace()
+        seeds = _seed_matrix(4, seed=33)
+        run_bfce_frame_batch(pop, w=8192, seeds=seeds, p_n=300, observe_slots=32, workspace=ws)
+        starts, ids, rn = ws.prefix_buckets(pop, 8192, 32)
+        run_bfce_frame_batch(pop, w=8192, seeds=seeds, p_n=300, observe_slots=32, workspace=ws)
+        assert ws.prefix_buckets(pop, 8192, 32)[1] is ids
+        # The counting sort orders the tags exactly as the stable argsort.
+        _, order, sorted_keys = ws.prefix_index(pop, 8192, 32)
+        assert np.array_equal(ids, pop.tag_ids[order])
+        assert np.array_equal(rn, pop.rn[order])
+        assert np.array_equal(starts, np.searchsorted(sorted_keys >> np.uint32(5), np.arange(257)))
+
+    @pytest.mark.parametrize("native", [True, False])
+    def test_truncated_frames_count_a_kernel_call(self, native, monkeypatch):
+        from repro.obs import metrics
+
+        if not native:
+            monkeypatch.setenv("REPRO_NATIVE", "0")
+        elif frames_mod._native.get_lib() is None:
+            pytest.skip("no C compiler / native build failed")
+        counter = f"kernel.{'native' if native else 'numpy'}.bfce_counts"
+        pop = TagPopulation(uniform_ids(2_000, seed=34))
+        before = metrics.get(counter)
+        run_bfce_frame_batch(pop, w=8192, seeds=_seed_matrix(3), p_n=300, observe_slots=32)
+        assert metrics.get(counter) > before
 
 
 class TestBatchFrameResult:

@@ -274,6 +274,37 @@ class TestThreadedEquivalence:
         assert np.array_equal(native.blooms, reference.blooms)
         assert np.array_equal(native.responses, reference.responses)
 
+    @pytest.mark.parametrize("mode", ["event", "static"])
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 50_000])
+    def test_bfce_frame_kernels_threaded(self, mode, n, threads, monkeypatch):
+        """Both BFCE frame kernels equal NumPy count for count: the prefix
+        pass at prefixes of 1, 32, 1024 and 2048 slots of w = 8192, the
+        blocked dense kernel on near-full and full frames and one 2^17
+        frame, around the 1024-id blocks and at numerators 0, 1, 512, 1023
+        and 1024."""
+        from repro.rfid.frames import _BatchWorkspace, _batched_chunk_counts, _event_seeds
+        from repro.rfid.hashing import mix64
+
+        monkeypatch.setattr(_native, "_MT_MIN_EVENTS", 1)
+        pop = TagPopulation(uniform_ids(n, seed=23), persistence_mode=mode)
+        pns = np.array([0, 1, 512, 1023, 1024], dtype=np.int64)
+        seeds = np.random.default_rng(24).integers(0, 1 << 32, (pns.size, 3), dtype=np.uint64)
+        es = _event_seeds(seeds, 3)
+        frames = [(8192, obs) for obs in (1, 32, 1024, 2048, 4096, 8192)] + [(1 << 17, 1 << 17)]
+
+        def counts():
+            ws = _BatchWorkspace()
+            return [
+                _batched_chunk_counts(pop, seeds, es, mix64(es), pns, w, obs, ws)
+                for w, obs in frames
+            ]
+
+        native = counts()
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        for (w, obs), got, reference in zip(frames, native, counts()):
+            assert got.shape == reference.shape == (pns.size, obs)
+            assert np.array_equal(got, reference), (w, obs)
+
     def test_scatter_multi_frame_threaded(self, threads, monkeypatch):
         from repro.rfid.occupancy import scatter_counts
 
