@@ -108,8 +108,7 @@ def gamma_grid(resolution: int = 1024, k: int = 3) -> tuple[np.ndarray, np.ndarr
     step = 1.0 / resolution
     p_vals = np.arange(1, resolution) * step
     rho_vals = np.arange(1, resolution) * step
-    g = -np.log(rho_vals)[None, :] / (k * p_vals)[:, None]
-    return p_vals, rho_vals, g
+    return p_vals, rho_vals, gamma(rho_vals[None, :], p_vals[:, None], k)
 
 
 def gamma_extrema(resolution: int = 1024, k: int = 3) -> tuple[float, float]:

@@ -21,12 +21,15 @@ This module turns that into a three-stage service:
    entry automatically.  ``REPRO_CACHE=0`` disables the cache,
    ``REPRO_CACHE_DIR`` relocates it, and the ``repro-rfid cache`` CLI
    subcommand reports/clears it.
-3. **Execute** — cache misses run in the calling thread (one lockstep
-   drive per ``bfce_trials`` drive key) or fan out over a
-   ``ProcessPoolExecutor``; both run the lockstep batch engines on the
-   read-only cached tagID arrays (:func:`~repro.experiments.workloads.
-   population` with ``copy=False``) and keep input order, so the output
-   is deterministic regardless of worker count or scheduling.
+3. **Execute** — one executor (:func:`_execute_canonical`) runs the
+   cache misses: the ``bfce_trials`` misses it is handed share one
+   lockstep drive per drive key, any other kind runs alone, and a failing
+   point's outcome is its exception.  It runs in the calling thread, or
+   one miss per task across a ``ProcessPoolExecutor``; both run the
+   lockstep batch engines on the read-only cached tagID arrays
+   (:func:`~repro.experiments.workloads.population` with ``copy=False``)
+   and keep input order, so the output is deterministic regardless of
+   worker count or scheduling.
 
 Bit-identity contract: every payload — cache hit, cache miss, or cache
 disabled — is round-tripped through the same JSON serialisation before it is
@@ -213,7 +216,7 @@ class SweepPoint:
 
     @classmethod
     def from_spec(cls, spec: dict) -> "SweepPoint":
-        if spec.get("kind") not in _EXECUTORS:
+        if spec.get("kind") not in ("bfce_trials", *_EXECUTORS):
             raise ValueError(f"unknown sweep point kind {spec.get('kind')!r}")
         return cls(canonicalise(spec))
 
@@ -859,14 +862,6 @@ def _exec_bfce_runs(specs: Sequence[dict]) -> tuple[list, list[int]]:
     return outcomes, drives
 
 
-def _exec_bfce_trials(spec: dict) -> dict:
-    """One ``bfce_trials`` spec: the one-spec case of :func:`_exec_bfce_runs`."""
-    [outcome], _ = _exec_bfce_runs([spec])
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
 def _exec_baseline_trials(spec: dict) -> dict:
     from ..baselines import HLL, LOF, SRC, ZOE
     from ..core.accuracy import AccuracyRequirement
@@ -1026,7 +1021,6 @@ def _exec_rough_bound(spec: dict) -> dict:
 
 
 _EXECUTORS: dict[str, Callable[[dict], dict]] = {
-    "bfce_trials": _exec_bfce_trials,
     "baseline_trials": _exec_baseline_trials,
     "sketch_trials": _exec_sketch_trials,
     "frame_stats": _exec_frame_stats,
@@ -1037,26 +1031,8 @@ _EXECUTORS: dict[str, Callable[[dict], dict]] = {
 }
 
 
-def _execute_canonical(canonical: str) -> dict:
-    """Worker entry point: decode one canonical spec and execute it.
-
-    Under tracing, each executed point gets a ``sweep.point`` span and the
-    worker's metrics snapshot is flushed to its sidecar afterwards — forked
-    pool children exit via ``os._exit``, so an ``atexit`` flush would never
-    run.
-    """
-    spec = json.loads(canonical)
-    with _trace.span("sweep.point", kind=spec["kind"]):
-        payload = _EXECUTORS[spec["kind"]](spec)
-    _trace.flush()
-    return payload
-
-
-# ----------------------------------------------------------------------
-# Scheduler
-# ----------------------------------------------------------------------
-def _execute_inline(canonicals: Sequence[str]) -> tuple[list, list[int]]:
-    """The in-process executor: run canonical specs in the calling thread.
+def _execute_canonical(canonicals: Sequence[str]) -> tuple[list, list[int]]:
+    """The one executor: run canonical specs in the calling process.
 
     All ``bfce_trials`` specs execute together (:func:`_exec_bfce_runs`:
     one lockstep drive per analytic config, channel and persistence mode,
@@ -1064,6 +1040,11 @@ def _execute_inline(canonicals: Sequence[str]) -> tuple[list, list[int]]:
     (ε, δ)) and any other kind alone.  Returns one outcome per spec — its
     payload, or the exception it raised, so a failing spec fails only
     itself — and the readers of each engine drive.
+
+    It is also the pool workers' entry point (one list per task), so under
+    tracing the metrics snapshot is flushed to the sidecar afterwards —
+    forked pool children exit via ``os._exit``, so an ``atexit`` flush
+    would never run.
     """
     specs = [json.loads(canonical) for canonical in canonicals]
     trials = [i for i, spec in enumerate(specs) if spec["kind"] == "bfce_trials"]
@@ -1085,6 +1066,9 @@ def _execute_inline(canonicals: Sequence[str]) -> tuple[list, list[int]]:
     return outcomes, drives
 
 
+# ----------------------------------------------------------------------
+# Scheduler
+# ----------------------------------------------------------------------
 def _through_cache(
     canonicals: Iterable[str],
     cache,
@@ -1134,11 +1118,13 @@ def run_sweep(
 
     Returns one payload dict per input point, **aligned to input order**
     (duplicate points share one execution and one payload).  Misses run
-    across a ``ProcessPoolExecutor`` — ``max_workers=None`` uses the CPU
-    count — and ``pool.map`` preserves submission order, so results are
-    deterministic for any worker count.  ``0``/``1`` workers (or a single
-    miss) run the in-process executor of :func:`execute_points_inline`;
-    the first point that raised, in input order, raises here.
+    through the one executor, :func:`_execute_canonical`: in the calling
+    thread for ``0``/``1`` workers (or a single miss), else one miss per
+    task across a ``ProcessPoolExecutor`` — ``max_workers=None`` uses the
+    CPU count — whose ``pool.map`` preserves submission order, so results
+    are deterministic for any worker count.  Either way every point that
+    succeeded is stored, then the first point that raised, in input
+    order, raises here.
 
     ``cache=None`` uses the default on-disk cache unless ``REPRO_CACHE=0``
     is set; pass an explicit :class:`TrialCache` to control the directory or
@@ -1150,7 +1136,7 @@ def run_sweep(
         workers = max_workers if max_workers is not None else (os.cpu_count() or 1)
         workers = min(workers, len(missing))
         if workers <= 1:
-            return _execute_inline(missing)
+            return _execute_canonical(missing)
         # Split the native kernel-thread budget across workers so process
         # fan-out and kernel threads don't multiply into workers × cores
         # oversubscription (bit-identity unaffected).
@@ -1159,11 +1145,14 @@ def run_sweep(
             initializer=_native.divide_thread_budget,
             initargs=(workers,),
         ) as pool:
-            payloads = list(pool.map(_execute_canonical, missing))
+            results = list(pool.map(_execute_canonical, [[c] for c in missing]))
         # Fold the pool workers' sidecar traces (spans + their final metrics
         # snapshots) back into the parent's trace file.
         _trace.merge_worker_traces()
-        return payloads, []
+        return (
+            [outcome for outcomes, _ in results for outcome in outcomes],
+            [readers for _, drives in results for readers in drives],
+        )
 
     with _trace.span("sweep.run", points=len(point_list)) as sp:
         found, _ = _through_cache(
@@ -1198,18 +1187,17 @@ def execute_points_inline(
 ) -> tuple[list[tuple[dict | Exception, bool]], list[int]]:
     """Execute sweep points in the calling thread, through the cache.
 
-    The in-process executor (the service's tick path, and :func:`run_sweep`
-    without a pool): all ``bfce_trials`` misses run together, one lockstep
-    drive per drive key (:func:`_exec_bfce_runs`), and any other kind
-    alone.  No scheduler span, no metrics fold.  Returns per
-    point ``(payload, cache_hit)`` — the payload is the exception when its
-    point raised, and a failing point fails only itself — and the readers
-    of each engine drive.  Payloads are JSON-normalised like
+    The service's tick path: the misses run through
+    :func:`_execute_canonical` — all ``bfce_trials`` misses together, one
+    lockstep drive per drive key, and any other kind alone.  No scheduler
+    span, no metrics fold.  Returns per point ``(payload, cache_hit)`` —
+    the payload is the exception when its point raised, and a failing
+    point fails only itself — and the readers of each engine drive.  Payloads are JSON-normalised like
     :func:`run_sweep`'s, so a served response is bit-identical whether it
     came from the cache, this call, or a full sweep.
     """
     found, drives = _through_cache(
-        (point.canonical for point in points), cache, _execute_inline
+        (point.canonical for point in points), cache, _execute_canonical
     )
     return [found[point.canonical] for point in points], drives
 

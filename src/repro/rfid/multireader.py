@@ -37,7 +37,6 @@ from ..core.optimal_p import find_optimal_pn
 from ..core.probe import probe_persistence
 from ..core.rough import rough_estimate
 from ..obs import metrics as _metrics
-from ..rfid.protocol import bfce_phase_message
 from ..rfid.reader import Reader
 from ..timing.accounting import TimeLedger
 from .frames import slot_response_counts
@@ -178,8 +177,11 @@ class MultiReaderSystem:
         server reader (readers run concurrently); per-reader air adds to
         ``total_air`` through the caller's accounting.
         """
+        # Local import: repro.core.bfce imports this package back.
+        from ..core.bfce import _phase_message
+
         cfg = self.config
-        message = bfce_phase_message(cfg.k, preloaded_constants=cfg.preloaded_constants)
+        message = _phase_message(cfg)
         populations = [
             self.coverage.reader_population(r) for r in range(self.coverage.n_readers)
         ]

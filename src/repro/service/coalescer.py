@@ -23,9 +23,10 @@ run one ``SweepPoint``, and the job is
    channel and a persistence mode advance all their readers through one
    lockstep drive, each reader planned with its own zone's (ε, δ), and
    batched runs on one population and config likewise, so a tick of eight
-   analytic zones on two frame sizes runs two drives, not eight.  Steps 1–2 are :func:`execute_points_inline`, the sweep
-   layer's one in-process executor — the same lookup, drive and encode
-   path an in-process ``run_sweep`` takes;
+   analytic zones on two frame sizes runs two drives, not eight.  Steps
+   1–2 are :func:`execute_points_inline`, which hands the misses to the
+   sweep layer's one executor — the same lookup, drive and encode path
+   ``run_sweep`` takes;
 3. **split** — each run's records, or the exception that run raised, go
    back to its group's seeds: a run that raises fails only its own waiters
    (a merged drive that raises is re-driven one run at a time);

@@ -132,8 +132,10 @@ class TestMergedBatchedDrives:
                 run_sweep(points + [bad_args], max_workers=workers, cache=cache)
             with pytest.raises(TypeError, match="bogus"):
                 run_sweep([ok, bad_args] + points, max_workers=workers, cache=cache)
-        # In process, the points that succeeded were stored before the raise.
+        # In process and across the pool, the points that succeeded were
+        # stored before the raise.
         assert len(list((tmp_path / "w1").glob("*.json"))) == 2
+        assert len(list((tmp_path / "w2").glob("*.json"))) == 2
 
 
 class TestMergedAnalyticDrives:

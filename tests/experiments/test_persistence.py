@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.figures import FigureData
+# load_figure_json stays in src/ as the round-trip oracle of save_figure_json.
 from repro.experiments.persistence import load_figure_json, save_figure_json
 
 

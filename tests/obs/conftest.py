@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+# reset stays in src/ as this fixture's clean-registry hook between tests.
 from repro.obs import metrics, trace
 
 

@@ -1,9 +1,12 @@
 """Unit tests for the synchronized multi-reader subsystem."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.bfce import BFCE
+from repro.core.config import DEFAULT_CONFIG
 from repro.rfid.ids import uniform_ids
 from repro.rfid.multireader import (
     CoverageMap,
@@ -75,6 +78,25 @@ class TestMultiReaderSystem:
         multi = MultiReaderSystem(cov).estimate(seed=9)
         single = BFCE().estimate(TagPopulation(ids.copy()), seed=9)
         assert multi.n_hat == pytest.approx(single.n_hat, rel=1e-12)
+
+    def test_broadcasts_bill_the_config_message_width(self):
+        """Every phase's parameter broadcast costs what single-reader BFCE
+        bills under the same config, narrow seed and p fields included."""
+        cfg = replace(DEFAULT_CONFIG, seed_bits=16, p_bits=10)
+        ids = uniform_ids(30_000, seed=3)
+        cov = CoverageMap.random_overlap(ids, 3, overlap=0.5, seed=4)
+        multi = MultiReaderSystem(cov, config=cfg).estimate(seed=9)
+        single = BFCE(config=cfg).estimate(TagPopulation(ids.copy()), seed=9)
+
+        def widths(ledger):
+            found = {}
+            for m in ledger:
+                if m.direction == "down":
+                    found.setdefault(m.phase, set()).add(m.bits)
+            return found
+
+        assert widths(multi.ledger) == widths(single.ledger)
+        assert set(widths(single.ledger)) == {"probe", "rough", "accurate"}
 
     def test_wallclock_constant_in_reader_count(self):
         ids = uniform_ids(50_000, seed=5)

@@ -23,7 +23,7 @@ from repro.experiments.sweep import (
     TrialCache,
     _dumps,
     _encode,
-    _exec_bfce_trials,
+    _execute_canonical,
     execute_point_inline,
 )
 from repro.obs import metrics
@@ -78,7 +78,8 @@ def one_tick(requests, cache):
 
 def alone(config, seed):
     """The reference: the one-seed run executed alone, JSON-normalised."""
-    payload, _ = _encode(_exec_bfce_trials(config.point(base_seed=seed, trials=1).spec))
+    [outcome], _ = _execute_canonical([config.point(base_seed=seed, trials=1).canonical])
+    payload, _ = _encode(outcome)
     return payload["records"][0]
 
 

@@ -13,6 +13,8 @@ from repro import (
     uniform_ids,
 )
 from repro.baselines import SRC, ZOE
+# guarantee_rate stays in src/ as the oracle of test_guarantee_rate_across_seeds,
+# the suite's only (ε, δ) coverage check.
 from repro.experiments import guarantee_rate
 from repro.experiments.tables import analytic_overhead
 
